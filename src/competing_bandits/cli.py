@@ -55,8 +55,8 @@ def _single_run(config: ExperimentConfig, seed: int, mode: str,
     return run_rcb(sim, market, timeline)
 
 
-def run_sweep(config: ExperimentConfig, grid_key: str, grid_values: Sequence[int],
-              mode: str = "rcb") -> list[SweepRow]:
+def run_sweep(config: ExperimentConfig, grid_key: str,
+              grid_values: Sequence[int]) -> list[SweepRow]:
     """Average the max-over-players pessimal regret across seeds for each
     grid point. Grid keys: T (horizon), L (change count), H (restart
     period); T and L require a [generator] config."""
@@ -68,7 +68,7 @@ def run_sweep(config: ExperimentConfig, grid_key: str, grid_values: Sequence[int
         period = None
         for seed in config.seeds:
             trace = _single_run(
-                config, seed, mode,
+                config, seed, "rcb",
                 horizon=value if grid_key == "T" else None,
                 n_changes=value if grid_key == "L" else None,
                 restart_period=value if grid_key == "H" else None,
@@ -165,8 +165,6 @@ def _cmd_run(args) -> int:
     config = parse_config(args.config)
     seeds = tuple(int(s) for s in args.seed.split(",")) if args.seed else config.seeds
     mode = args.mode or config.mode
-    if mode not in ("rcb", "meta"):
-        raise InputError(f"run mode must be rcb or meta, got {mode!r}")
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_echo(config)

@@ -10,7 +10,7 @@ reproducible from the echoed block alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from .market import MarketInstance
 
 CONFIG_VERSION = 1
 
-MODES = ("rcb", "meta", "oracle-check")
+MODES = ("rcb", "meta")
 
 
 @dataclass(frozen=True)
@@ -125,9 +125,10 @@ def generate_instance(
     n, k, t_max = spec.n_players, spec.n_arms, horizon
     if spec.n_changes > 0 and t_max < 2:
         raise InputError("cannot place change events on a horizon shorter than 2")
-    if spec.n_changes > max(0, t_max - 1) and spec.change_fractions is None:
+    if spec.n_changes > max(0, t_max - 1):
+        field = "changes" if spec.change_fractions is None else "change_fractions"
         raise InputError(
-            f"cannot place {spec.n_changes} changes at distinct times in [2, {t_max}]"
+            f"cannot place {spec.n_changes} {field} at distinct times in [2, {t_max}]"
         )
 
     utilities = tuple(tuple(float(v) for v in rng.permutation(n)) for _ in range(k))
@@ -147,9 +148,11 @@ def generate_instance(
         for f in spec.change_fractions:
             t = int(round(f * t_max))
             t = max(2, min(t_max, t))
-            while t in times:  # fractions that collide after rounding get nudged
-                t += 1
-            times.append(t)
+            # A time taken by an earlier fraction moves to the nearest free
+            # round above it, or else below it.
+            up = (u for u in range(t, t_max + 1) if u not in times)
+            down = (u for u in range(t - 1, 1, -1) if u not in times)
+            times.append(next(up, None) or next(down))
         times.sort()
     else:
         pool = np.arange(2, t_max + 1)
@@ -188,15 +191,7 @@ def resolve_instance(
     if config.generator is not None:
         spec = config.generator
         if n_changes is not None and n_changes != spec.n_changes:
-            spec = GeneratorSpec(
-                seed=spec.seed,
-                n_players=spec.n_players,
-                n_arms=spec.n_arms,
-                delta=spec.delta,
-                n_changes=n_changes,
-                mu_bar=spec.mu_bar,
-                change_fractions=None,
-            )
+            spec = replace(spec, n_changes=n_changes, change_fractions=None)
         return generate_instance(spec, horizon)
     if config.market is None or config.timeline is None:
         raise ConfigError("config has neither an explicit instance nor a generator")

@@ -69,7 +69,11 @@ class SimulationConfig:
 
 @dataclass
 class SimulationTrace:
-    """Per-round record of a run plus the resolved run parameters."""
+    """Per-round record of a run plus the resolved run parameters.
+
+    ``segments`` are the timeline's constant segments as (first round, last
+    round, means); benchmark means are derived from them on demand.
+    """
 
     n_players: int
     horizon: int
@@ -77,13 +81,12 @@ class SimulationTrace:
     seed: int
     noise: str
     baseline: str
+    segments: list[tuple[int, int, tuple[tuple[float, ...], ...]]] = field(default_factory=list)
     matchings: list[tuple[int, ...]] = field(default_factory=list)
     rewards: list[tuple[float, ...]] = field(default_factory=list)
     true_means: list[tuple[float, ...]] = field(default_factory=list)
     optimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     pessimal_arms: list[tuple[int, ...]] = field(default_factory=list)
-    optimal_means: list[tuple[float, ...]] = field(default_factory=list)
-    pessimal_means: list[tuple[float, ...]] = field(default_factory=list)
     restart_flags: list[int] = field(default_factory=list)
     block_index: list[int] = field(default_factory=list)
     orderings: Optional[list[tuple[RankOrdering, ...]]] = None
@@ -98,11 +101,18 @@ class SimulationTrace:
             return self.optimal_arms
         if baseline == "pessimal":
             return self.pessimal_arms
-        raise InputError(f"baseline must be one of {BASELINES}")
+        raise InputError(f"unknown baseline {baseline!r}; must be one of {BASELINES}")
 
     def benchmark_means(self, baseline: Optional[str] = None) -> list[tuple[float, ...]]:
-        baseline = baseline or self.baseline
-        return self.optimal_means if baseline == "optimal" else self.pessimal_means
+        """Per-round true means of the benchmark matching. The benchmark is
+        constant within a segment, so each row is built once per segment."""
+        arms = self.benchmark_arms(baseline)
+        out: list[tuple[float, ...]] = []
+        for start, end, means in self.segments:
+            bench = arms[start - 1]
+            row = tuple(means[i][bench[i]] for i in range(self.n_players))
+            out.extend([row] * (end - start + 1))
+        return out
 
 
 @dataclass(frozen=True)
@@ -157,90 +167,87 @@ def run_rcb(
     config and seed give bit-identical traces.
     """
     _check_dimensions(config, market, timeline)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     horizon = config.horizon
     if config.restart_period is not None:
         period = min(config.restart_period, horizon)
     else:
         period = compute_restart_period(horizon, total_changes(timeline))
+    run = _Run(config, market, timeline, rng, stable_benchmarks(timeline, market),
+               restart_period=period)
+    run.play(1, horizon, period)
+    return run.trace
 
-    trace = SimulationTrace(
-        n_players=market.n_players,
-        horizon=horizon,
-        restart_period=period,
-        seed=config.seed,
-        noise=config.noise,
-        baseline=config.baseline,
-    )
-    record_orderings = config.record_orderings
-    if record_orderings is None:
-        record_orderings = horizon <= 5000
-    if record_orderings:
-        trace.orderings = []
 
-    states = [UcbState(i, market.n_arms) for i in range(market.n_players)]
-    benchmarks = stable_benchmarks(timeline, market)
-    segments = timeline.segments()
+class _Run:
+    """One run in progress: the learners, the noise stream, the per-round
+    benchmarks and the trace they fill. The plain and the meta loop both
+    advance it with ``play``; extra keyword arguments become trace fields.
+    """
 
-    seg_idx = 0
-    block = 0
-    for t in range(1, horizon + 1):
-        while segments[seg_idx][1] < t:
-            seg_idx += 1
-        means = segments[seg_idx][2]
-        restart = (t - 1) % period == 0
-        if restart:
-            block += 1
+    def __init__(self, config: SimulationConfig, market: MarketInstance,
+                 timeline: MeanRewardTimeline, rng: Optional[np.random.Generator],
+                 benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
+        self.market = market
+        self.timeline = timeline
+        self.noise = config.noise
+        self.rng = np.random.default_rng(config.seed) if rng is None else rng
+        self.benchmarks = benchmarks
+        self.states = [UcbState(i, market.n_arms) for i in range(market.n_players)]
+        record_orderings = config.record_orderings
+        if record_orderings is None:
+            record_orderings = config.horizon <= 5000
+        self.trace = SimulationTrace(
+            n_players=market.n_players,
+            horizon=config.horizon,
+            seed=config.seed,
+            noise=config.noise,
+            baseline=config.baseline,
+            segments=timeline.segments(),
+            orderings=[] if record_orderings else None,
+            **trace_fields,
+        )
+
+    def play(self, start: int, end: int, period: int) -> None:
+        """Play rounds ``start`` to ``end`` inclusive, restarting every
+        learner when ``(t - start) % period == 0``. Block numbers continue
+        from the trace."""
+        trace, states, market = self.trace, self.states, self.market
+        segments = trace.segments
+        seg_idx = 0
+        block = trace.block_index[-1] if trace.block_index else 0
+        for t in range(start, end + 1):
+            while segments[seg_idx][1] < t:
+                seg_idx += 1
+            means = segments[seg_idx][2]
+            restart = (t - start) % period == 0
+            if restart:
+                block += 1
+                for s in states:
+                    s.restart()
+            orderings = []
             for s in states:
-                s.restart()
-        _play_round(states, market, timeline, means, t, rng, config.noise,
-                    trace, benchmarks[t - 1], restart, block)
-    return trace
+                s.begin_round()
+                orderings.append(s.rank_ordering())
+            matching = deferred_acceptance(orderings, market, "players")
 
+            rewards = []
+            true_row = []
+            for i, arm in enumerate(matching.assignment):
+                value = sample_reward(self.timeline, i, arm, t, self.rng, self.noise)
+                states[i].observe(arm, value)
+                rewards.append(value)
+                true_row.append(means[i][arm])
 
-def _play_round(
-    states: Sequence[UcbState],
-    market: MarketInstance,
-    timeline: MeanRewardTimeline,
-    means: Sequence[Sequence[float]],
-    t: int,
-    rng: np.random.Generator,
-    noise: str,
-    trace: SimulationTrace,
-    benchmark: tuple[Matching, Matching],
-    restart: bool,
-    block: int,
-) -> None:
-    """One interaction round shared by the plain and meta loops."""
-    orderings = []
-    for s in states:
-        s.begin_round()
-        orderings.append(s.rank_ordering())
-    matching = deferred_acceptance(orderings, market, "players")
-
-    n = market.n_players
-    rewards = []
-    true_row = []
-    for i in range(n):
-        arm = matching.assignment[i]
-        value = sample_reward(timeline, i, arm, t, rng, noise).value
-        states[i].observe(arm, value)
-        rewards.append(value)
-        true_row.append(means[i][arm])
-
-    opt, pess = benchmark
-    trace.matchings.append(matching.assignment)
-    trace.rewards.append(tuple(rewards))
-    trace.true_means.append(tuple(true_row))
-    trace.optimal_arms.append(opt.assignment)
-    trace.pessimal_arms.append(pess.assignment)
-    trace.optimal_means.append(tuple(means[i][opt.assignment[i]] for i in range(n)))
-    trace.pessimal_means.append(tuple(means[i][pess.assignment[i]] for i in range(n)))
-    trace.restart_flags.append(1 if restart else 0)
-    trace.block_index.append(block)
-    if trace.orderings is not None:
-        trace.orderings.append(tuple(orderings))
+            opt, pess = self.benchmarks[t - 1]
+            trace.matchings.append(matching.assignment)
+            trace.rewards.append(tuple(rewards))
+            trace.true_means.append(tuple(true_row))
+            trace.optimal_arms.append(opt.assignment)
+            trace.pessimal_arms.append(pess.assignment)
+            trace.restart_flags.append(1 if restart else 0)
+            trace.block_index.append(block)
+            if trace.orderings is not None:
+                trace.orderings.append(tuple(orderings))
 
 
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:
@@ -267,10 +274,6 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
         block_sums=block_sums,
         block_bounds=tuple(bounds),
     )
-
-
-def _format(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
@@ -310,11 +313,11 @@ def write_trace_csv(trace: SimulationTrace, path, extra_metadata: Sequence[tuple
                     trace.restart_flags[t],
                     i,
                     trace.matchings[t][i],
-                    _format(trace.rewards[t][i]),
-                    _format(trace.true_means[t][i]),
+                    repr(trace.rewards[t][i]),
+                    repr(trace.true_means[t][i]),
                     bench_arms[t][i],
-                    _format(float(report.increments[t][i])),
-                    _format(float(report.cumulative[t][i])),
+                    repr(float(report.increments[t][i])),
+                    repr(float(report.cumulative[t][i])),
                 ]
                 if is_meta:
                     row.extend([trace.epoch_index[t], trace.chosen_h[t]])

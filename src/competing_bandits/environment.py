@@ -36,14 +36,6 @@ class ChangeEvent:
     new_mean: float
 
 
-@dataclass(frozen=True)
-class RewardSample:
-    player: int
-    arm: int
-    time: int
-    value: float
-
-
 class MeanRewardTimeline:
     """Piecewise-constant mean rewards over a horizon.
 
@@ -177,7 +169,7 @@ def sample_reward(
     t: int,
     rng: np.random.Generator,
     noise: str = "gaussian",
-) -> RewardSample:
+) -> float:
     """Draw one stochastic reward around the true mean at round ``t``.
 
     Families: "gaussian" (standard deviation 1), "uniform" (zero-mean,
@@ -194,7 +186,7 @@ def sample_reward(
         value = mean
     else:
         raise InputError(f"unknown noise family {noise!r}")
-    return RewardSample(player, arm, t, value)
+    return value
 
 
 def true_orderings(means: Sequence[Sequence[float]]) -> list[RankOrdering]:

@@ -90,9 +90,6 @@ class Matching:
             raise InputError("matching must be injective")
         object.__setattr__(self, "assignment", assignment)
 
-    def arm_of(self, player: int) -> int:
-        return self.assignment[player]
-
     def player_of(self, arm: int) -> Optional[int]:
         """The player holding ``arm``, or None if the arm is unmatched."""
         try:

@@ -16,10 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import SimulationConfig, SimulationTrace, _check_dimensions, _play_round
+from .engine import SimulationConfig, SimulationTrace, _check_dimensions, _Run
 from .environment import MeanRewardTimeline, stable_benchmarks
 from .errors import InputError
-from .learner import UcbState
 from .market import MarketInstance
 
 
@@ -131,57 +130,29 @@ def run_rcb_meta(
     _check_dimensions(config, market, timeline)
     if config.restart_period is not None:
         raise InputError("meta mode tunes the restart period itself; leave it unset")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     horizon = config.horizon
     ensemble = build_ensemble(horizon)
-    gamma = default_gamma(len(ensemble.periods), ensemble.epoch_count)
-    exp3 = Exp3State.fresh(len(ensemble.periods), gamma, rng)
-
-    trace = SimulationTrace(
-        n_players=market.n_players,
-        horizon=horizon,
+    run = _Run(
+        config, market, timeline, rng, stable_benchmarks(timeline, market),
         restart_period=0,  # varies per epoch; see chosen_h
-        seed=config.seed,
-        noise=config.noise,
-        baseline=config.baseline,
         epoch_index=[],
         chosen_h=[],
         epoch_summaries=[],
     )
-    record_orderings = config.record_orderings
-    if record_orderings is None:
-        record_orderings = horizon <= 5000
-    if record_orderings:
-        trace.orderings = []
-
-    states = [UcbState(i, market.n_arms) for i in range(market.n_players)]
-    benchmarks = stable_benchmarks(timeline, market)
-    segments = timeline.segments()
+    trace = run.trace
+    gamma = default_gamma(len(ensemble.periods), ensemble.epoch_count)
+    exp3 = Exp3State.fresh(len(ensemble.periods), gamma, run.rng)
     norm = market.n_players * ensemble.epoch_length * timeline.mu_bar
 
-    seg_idx = 0
-    block = 0
     for epoch in range(ensemble.epoch_count):
         arm = exp3_select(exp3)
         period = ensemble.periods[arm]
         start = epoch * ensemble.epoch_length + 1
         end = min(horizon, (epoch + 1) * ensemble.epoch_length)
-        epoch_reward = 0.0
-        for offset, t in enumerate(range(start, end + 1)):
-            while segments[seg_idx][1] < t:
-                seg_idx += 1
-            means = segments[seg_idx][2]
-            restart = offset % period == 0
-            if restart:
-                block += 1
-                for s in states:
-                    s.restart()
-            _play_round(states, market, timeline, means, t, rng, config.noise,
-                        trace, benchmarks[t - 1], restart, block)
-            epoch_reward += sum(trace.rewards[-1])
-            trace.epoch_index.append(epoch)
-            trace.chosen_h.append(period)
+        run.play(start, end, period)
+        trace.epoch_index.extend([epoch] * (end - start + 1))
+        trace.chosen_h.extend([period] * (end - start + 1))
+        epoch_reward = sum(sum(r) for r in trace.rewards[start - 1:end])
         reward = min(1.0, max(0.0, epoch_reward / norm))
         exp3_update(exp3, arm, reward)
         trace.epoch_summaries.append(

@@ -5,6 +5,7 @@ import pytest
 
 from competing_bandits import (
     ConfigError,
+    InputError,
     SimulationConfig,
     min_gap,
     regret_report,
@@ -103,6 +104,7 @@ def test_parse_generator_config(tmp_path):
         ("version = 1", "version = 2", "version"),
         ("horizon = 60", "horizon = 0", "horizon"),
         ("horizon = 60", "horizon = soon", "integer"),
+        ("version = 1", "version = 1\nmode = oracle-check", "mode"),
     ],
 )
 def test_parse_rejects_bad_experiment_section(tmp_path, old, new, fragment):
@@ -180,6 +182,19 @@ def test_generator_change_fractions_scale_with_horizon():
         )
         _, timeline = generate_instance(spec, horizon)
         assert [e.time for e in timeline.events] == [horizon // 4, 3 * horizon // 4]
+
+
+def test_generator_change_fractions_fit_the_horizon():
+    # 0.99 and 1.0 both round to T = 10; the second moves down to 9.
+    spec = GeneratorSpec(seed=0, n_players=2, n_arms=2, delta=0.1, n_changes=2,
+                         change_fractions=(0.99, 1.0))
+    _, timeline = generate_instance(spec, 10)
+    assert [e.time for e in timeline.events] == [9, 10]
+    # Three changes cannot fit in rounds [2, 3].
+    spec = GeneratorSpec(seed=0, n_players=2, n_arms=2, delta=0.1, n_changes=3,
+                         change_fractions=(0.2, 0.5, 0.9))
+    with pytest.raises(InputError, match="change_fractions"):
+        generate_instance(spec, 3)
 
 
 def test_generator_rejects_infeasible_spec():

@@ -169,17 +169,19 @@ def test_benchmarks_recorded_from_true_means():
     # Unique stable matching, so both benchmarks coincide every round.
     assert set(trace.optimal_arms) == {(0, 1)}
     assert trace.optimal_arms == trace.pessimal_arms
-    assert set(trace.optimal_means) == {(0.9, 0.3)}
+    assert set(trace.benchmark_means("optimal")) == {(0.9, 0.3)}
 
 
 def test_regret_uses_true_means_not_samples():
     market, timeline = conflict_setup(40)
     trace = run_rcb(SimulationConfig(40, seed=1, noise="gaussian"), market, timeline)
     report = regret_report(trace, "pessimal")
-    expected = np.asarray(trace.pessimal_means) - np.asarray(trace.true_means)
+    expected = np.asarray(trace.benchmark_means("pessimal")) - np.asarray(trace.true_means)
     assert np.allclose(report.increments, expected)
     assert np.allclose(report.cumulative, np.cumsum(expected, axis=0))
     assert np.allclose(report.final(), report.cumulative[-1])
+    with pytest.raises(InputError, match="median"):
+        regret_report(trace, "median")
 
 
 def test_optimal_regret_dominates_pessimal_regret():

@@ -174,8 +174,7 @@ def test_min_gap_matches_brute_force():
 def test_noise_none_returns_exact_mean():
     tl = flat_timeline()
     rng = np.random.default_rng(0)
-    s = sample_reward(tl, 1, 2, 3, rng, "none")
-    assert (s.player, s.arm, s.time, s.value) == (1, 2, 3, 0.6)
+    assert sample_reward(tl, 1, 2, 3, rng, "none") == 0.6
 
 
 def test_sampling_is_deterministic_per_seed():
@@ -183,14 +182,14 @@ def test_sampling_is_deterministic_per_seed():
     draws = []
     for _ in range(2):
         rng = np.random.default_rng(7)
-        draws.append([sample_reward(tl, 0, 1, 1, rng).value for _ in range(50)])
+        draws.append([sample_reward(tl, 0, 1, 1, rng) for _ in range(50)])
     assert draws[0] == draws[1]
 
 
 def test_gaussian_noise_centers_on_mean():
     tl = flat_timeline()
     rng = np.random.default_rng(2)
-    values = np.array([sample_reward(tl, 0, 2, 1, rng, "gaussian").value for _ in range(100_000)])
+    values = np.array([sample_reward(tl, 0, 2, 1, rng, "gaussian") for _ in range(100_000)])
     assert abs(values.mean() - 0.9) < 0.02
     assert abs(values.std() - 1.0) < 0.02
 
@@ -198,7 +197,7 @@ def test_gaussian_noise_centers_on_mean():
 def test_uniform_noise_bounded_and_unit_variance():
     tl = flat_timeline()
     rng = np.random.default_rng(3)
-    values = np.array([sample_reward(tl, 0, 0, 1, rng, "uniform").value for _ in range(100_000)])
+    values = np.array([sample_reward(tl, 0, 0, 1, rng, "uniform") for _ in range(100_000)])
     half_width = math.sqrt(3.0)
     assert values.min() >= 0.1 - half_width
     assert values.max() <= 0.1 + half_width
@@ -223,8 +222,8 @@ def test_sample_reward_rejects_bad_indices():
 def test_sample_reward_tracks_change_events():
     tl = flat_timeline(events=(ChangeEvent(5, 0, 0, 0.7),))
     rng = np.random.default_rng(0)
-    assert sample_reward(tl, 0, 0, 4, rng, "none").value == 0.1
-    assert sample_reward(tl, 0, 0, 5, rng, "none").value == 0.7
+    assert sample_reward(tl, 0, 0, 4, rng, "none") == 0.1
+    assert sample_reward(tl, 0, 0, 5, rng, "none") == 0.7
 
 
 # --- stable benchmarks ---------------------------------------------------------
