@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import statistics
 import sys
 from dataclasses import dataclass
@@ -18,6 +19,7 @@ import numpy as np
 
 from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
 from .engine import SimulationConfig, regret_report, run_rcb, write_trace_csv
+from .environment import MeanRewardTimeline
 from .errors import CompetingBanditsError, InputError
 from .market import (
     MarketInstance,
@@ -40,15 +42,15 @@ class SweepRow:
 
 
 def _single_run(config: ExperimentConfig, seed: int, mode: str,
-                horizon: Optional[int] = None, n_changes: Optional[int] = None,
+                market: MarketInstance, timeline: MeanRewardTimeline,
                 restart_period: Optional[int] = None):
-    market, timeline = resolve_instance(config, horizon=horizon, n_changes=n_changes)
     sim = SimulationConfig(
-        horizon=horizon if horizon is not None else config.horizon,
+        horizon=timeline.horizon,
         restart_period=restart_period if restart_period is not None else config.restart_period,
         seed=seed,
         noise=config.noise,
         baseline=config.baseline,
+        record_orderings=False,
     )
     if mode == "meta":
         return run_rcb_meta(sim, market, timeline)
@@ -62,17 +64,17 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
     period); T and L require a [generator] config."""
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
+    # The instance depends on (horizon, n_changes) only: resolve each once.
+    resolve = functools.cache(functools.partial(resolve_instance, config))
     rows = []
     for value in grid_values:
+        market, timeline = resolve(value if grid_key == "T" else None,
+                                   value if grid_key == "L" else None)
         finals = []
         period = None
         for seed in config.seeds:
-            trace = _single_run(
-                config, seed, "rcb",
-                horizon=value if grid_key == "T" else None,
-                n_changes=value if grid_key == "L" else None,
-                restart_period=value if grid_key == "H" else None,
-            )
+            trace = _single_run(config, seed, "rcb", market, timeline,
+                                restart_period=value if grid_key == "H" else None)
             period = trace.restart_period
             report = regret_report(trace, "pessimal")
             finals.append(float(report.final().max()))
@@ -169,13 +171,14 @@ def _cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_echo(config)
     metadata = echo_config(config)
+    market, timeline = resolve_instance(config)
     for seed in seeds:
-        trace = _single_run(config, seed, mode)
+        trace = _single_run(config, seed, mode, market, timeline)
         trace_path = out_dir / f"trace_{mode}_seed{seed}.csv"
-        write_trace_csv(trace, trace_path, extra_metadata=metadata)
+        report = write_trace_csv(trace, trace_path, extra_metadata=metadata)
         if mode == "meta":
             write_epoch_summary_csv(trace, out_dir / f"epochs_seed{seed}.csv")
-        final = regret_report(trace).final()
+        final = report.final()
         print(f"seed {seed}: wrote {trace_path} "
               f"(max-player {trace.baseline} regret {final.max():.4f})")
     return 0

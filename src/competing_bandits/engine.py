@@ -15,15 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .environment import (
-    MeanRewardTimeline,
-    sample_reward,
-    stable_benchmarks,
-    total_changes,
-)
+# The loop no longer calls deferred_acceptance or sample_reward; they stay
+# importable here because perfbench/tracing.py wraps them at these names.
+from .environment import (MeanRewardTimeline, draw_noise, sample_reward,  # noqa: F401
+                          stable_benchmarks, total_changes)
 from .errors import InputError
-from .learner import UcbState
-from .market import MarketInstance, Matching, RankOrdering, deferred_acceptance
+from .learner import ucb_ranking, ucb_values
+from .market import (MarketInstance, Matching, RankOrdering,  # noqa: F401
+                     deferred_acceptance, player_proposing_da)
 
 BASELINES = ("pessimal", "optimal")
 
@@ -82,9 +81,10 @@ class SimulationTrace:
     noise: str
     baseline: str
     segments: list[tuple[int, int, tuple[tuple[float, ...], ...]]] = field(default_factory=list)
-    matchings: list[tuple[int, ...]] = field(default_factory=list)
-    rewards: list[tuple[float, ...]] = field(default_factory=list)
-    true_means: list[tuple[float, ...]] = field(default_factory=list)
+    # (T, N) arrays, row t - 1 for round t; matchings are int64.
+    matchings: np.ndarray = field(init=False)
+    rewards: np.ndarray = field(init=False)
+    true_means: np.ndarray = field(init=False)
     optimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     pessimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     restart_flags: list[int] = field(default_factory=list)
@@ -94,6 +94,12 @@ class SimulationTrace:
     epoch_index: Optional[list[int]] = None
     chosen_h: Optional[list[int]] = None
     epoch_summaries: Optional[list] = None
+
+    def __post_init__(self):
+        shape = (self.horizon, self.n_players)
+        self.matchings = np.zeros(shape, dtype=np.int64)
+        self.rewards = np.zeros(shape)
+        self.true_means = np.zeros(shape)
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
         baseline = baseline or self.baseline
@@ -179,20 +185,17 @@ def run_rcb(
 
 
 class _Run:
-    """One run in progress: the learners, the noise stream, the per-round
-    benchmarks and the trace they fill. The plain and the meta loop both
-    advance it with ``play``; extra keyword arguments become trace fields.
+    """One run in progress: the market, the noise stream and the trace
+    they fill. The plain and the meta loop both advance it with ``play``;
+    extra keyword arguments become trace fields.
     """
 
     def __init__(self, config: SimulationConfig, market: MarketInstance,
                  timeline: MeanRewardTimeline, rng: Optional[np.random.Generator],
                  benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
         self.market = market
-        self.timeline = timeline
         self.noise = config.noise
         self.rng = np.random.default_rng(config.seed) if rng is None else rng
-        self.benchmarks = benchmarks
-        self.states = [UcbState(i, market.n_arms) for i in range(market.n_players)]
         record_orderings = config.record_orderings
         if record_orderings is None:
             record_orderings = config.horizon <= 5000
@@ -203,70 +206,66 @@ class _Run:
             noise=config.noise,
             baseline=config.baseline,
             segments=timeline.segments(),
+            optimal_arms=[opt.assignment for opt, _ in benchmarks],
+            pessimal_arms=[pess.assignment for _, pess in benchmarks],
             orderings=[] if record_orderings else None,
             **trace_fields,
         )
+        self.segment_means = [np.ravel(means) for _, _, means in self.trace.segments]
 
     def play(self, start: int, end: int, period: int) -> None:
         """Play rounds ``start`` to ``end`` inclusive, restarting every
-        learner when ``(t - start) % period == 0``. Block numbers continue
-        from the trace."""
-        trace, states, market = self.trace, self.states, self.market
-        segments = trace.segments
-        seg_idx = 0
+        learner when ``(t - start) % period == 0``, so at ``start`` too.
+        Block numbers continue from the trace."""
+        trace, n, k = self.trace, self.market.n_players, self.market.n_arms
+        # Learner state: (N, K) pull counts and reward sums, also viewed flat
+        # with cell offsets[i] + a for (player i, arm a), and the block round
+        # count tau shared by all players (restarts are synchronized).
+        counts, sums = np.zeros((n, k)), np.zeros((n, k))
+        flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
+        offsets = np.arange(n) * k
+        segments, segment_means = trace.segments, self.segment_means
+        seg_idx = tau = 0
         block = trace.block_index[-1] if trace.block_index else 0
         for t in range(start, end + 1):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
-            means = segments[seg_idx][2]
             restart = (t - start) % period == 0
             if restart:
                 block += 1
-                for s in states:
-                    s.restart()
-            orderings = []
-            for s in states:
-                s.begin_round()
-                orderings.append(s.rank_ordering())
-            matching = deferred_acceptance(orderings, market, "players")
+                counts.fill(0)
+                sums.fill(0.0)
+                tau = 0
+            tau += 1
+            rankings = ucb_ranking(ucb_values(counts, sums, tau)).tolist()
+            arms = player_proposing_da(rankings, self.market.arm_utilities)
+            cells = offsets + arms
+            true_row = segment_means[seg_idx].take(cells)
+            rewards = true_row + draw_noise(self.rng, self.noise, len(arms))
+            flat_counts[cells] += 1
+            flat_sums[cells] += rewards
 
-            rewards = []
-            true_row = []
-            for i, arm in enumerate(matching.assignment):
-                value = sample_reward(self.timeline, i, arm, t, self.rng, self.noise)
-                states[i].observe(arm, value)
-                rewards.append(value)
-                true_row.append(means[i][arm])
-
-            opt, pess = self.benchmarks[t - 1]
-            trace.matchings.append(matching.assignment)
-            trace.rewards.append(tuple(rewards))
-            trace.true_means.append(tuple(true_row))
-            trace.optimal_arms.append(opt.assignment)
-            trace.pessimal_arms.append(pess.assignment)
+            trace.matchings[t - 1] = arms
+            trace.rewards[t - 1] = rewards
+            trace.true_means[t - 1] = true_row
             trace.restart_flags.append(1 if restart else 0)
             trace.block_index.append(block)
             if trace.orderings is not None:
-                trace.orderings.append(tuple(orderings))
+                trace.orderings.append(
+                    tuple(RankOrdering(i, tuple(r)) for i, r in enumerate(rankings)))
 
 
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:
     """Cumulative and per-block regret against the chosen benchmark,
     computed from true means recorded in the trace."""
     baseline = baseline or trace.baseline
-    bench = np.asarray(trace.benchmark_means(baseline))
-    matched = np.asarray(trace.true_means)
-    increments = bench - matched
+    increments = np.asarray(trace.benchmark_means(baseline)) - trace.true_means
     cumulative = np.cumsum(increments, axis=0)
 
-    bounds = []
-    start = 0
-    for t in range(1, len(trace.restart_flags)):
-        if trace.restart_flags[t]:
-            bounds.append((start + 1, t))
-            start = t
-    bounds.append((start + 1, len(trace.restart_flags)))
-    block_sums = np.array([increments[s - 1:e].sum(axis=0) for s, e in bounds])
+    flags = trace.restart_flags
+    starts = [0] + [t for t in range(1, len(flags)) if flags[t]]
+    bounds = [(s + 1, e) for s, e in zip(starts, starts[1:] + [len(flags)])]
+    block_sums = np.add.reduceat(increments, starts, axis=0)
     return RegretReport(
         baseline=baseline,
         increments=increments,
@@ -293,9 +292,11 @@ def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
     return meta
 
 
-def write_trace_csv(trace: SimulationTrace, path, extra_metadata: Sequence[tuple[str, str]] = ()) -> None:
+def write_trace_csv(trace: SimulationTrace, path,
+                    extra_metadata: Sequence[tuple[str, str]] = ()) -> RegretReport:
     """Write one row per (round, player); resolved parameters go into
-    leading '#' comment lines so the file alone reproduces the run."""
+    leading '#' comment lines so the file alone reproduces the run.
+    Returns the regret report the rows were computed from."""
     report = regret_report(trace)
     bench_arms = trace.benchmark_arms()
     is_meta = trace.chosen_h is not None
@@ -306,19 +307,17 @@ def write_trace_csv(trace: SimulationTrace, path, extra_metadata: Sequence[tuple
         writer = csv.writer(fh)
         writer.writerow(columns)
         for t in range(trace.horizon):
-            for i in range(trace.n_players):
-                row = [
-                    t + 1,
-                    trace.block_index[t],
-                    trace.restart_flags[t],
-                    i,
-                    trace.matchings[t][i],
-                    repr(trace.rewards[t][i]),
-                    repr(trace.true_means[t][i]),
-                    bench_arms[t][i],
-                    repr(float(report.increments[t][i])),
-                    repr(float(report.cumulative[t][i])),
-                ]
-                if is_meta:
-                    row.extend([trace.epoch_index[t], trace.chosen_h[t]])
-                writer.writerow(row)
+            # One round at a time: Python floats for repr, little memory.
+            arms = trace.matchings[t].tolist()
+            rewards = trace.rewards[t].tolist()
+            means = trace.true_means[t].tolist()
+            increments = report.increments[t].tolist()
+            cumulative = report.cumulative[t].tolist()
+            head = (t + 1, trace.block_index[t], trace.restart_flags[t])
+            tail = (trace.epoch_index[t], trace.chosen_h[t]) if is_meta else ()
+            writer.writerows(
+                (*head, i, arms[i], repr(rewards[i]), repr(means[i]), bench_arms[t][i],
+                 repr(increments[i]), repr(cumulative[i]), *tail)
+                for i in range(trace.n_players)
+            )
+    return report

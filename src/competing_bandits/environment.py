@@ -162,6 +162,21 @@ def min_gap(timeline: MeanRewardTimeline) -> float:
     return gap
 
 
+def draw_noise(rng: np.random.Generator, noise: str, n: int) -> np.ndarray:
+    """``n`` zero-mean noise draws in one call, consuming the generator like
+    ``n`` scalar draws. Families: "gaussian" (standard deviation 1),
+    "uniform" (zero-mean, unit-variance bounded noise), "none"
+    (deterministic, for tests)."""
+    if noise == "gaussian":
+        return rng.standard_normal(n)
+    if noise == "uniform":
+        return rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH, n)
+    if noise == "none":
+        # x + (-0.0) == x bit for bit, a mean of -0.0 included.
+        return np.full(n, -0.0)
+    raise InputError(f"unknown noise family {noise!r}")
+
+
 def sample_reward(
     timeline: MeanRewardTimeline,
     player: int,
@@ -170,23 +185,11 @@ def sample_reward(
     rng: np.random.Generator,
     noise: str = "gaussian",
 ) -> float:
-    """Draw one stochastic reward around the true mean at round ``t``.
-
-    Families: "gaussian" (standard deviation 1), "uniform" (zero-mean,
-    unit-variance bounded noise), "none" (deterministic, for tests).
-    """
+    """Draw one stochastic reward around the true mean at round ``t``
+    (noise families as in ``draw_noise``)."""
     if not (0 <= player < timeline.n_players and 0 <= arm < timeline.n_arms):
         raise InputError("player or arm index out of range")
-    mean = means_at(timeline, t)[player][arm]
-    if noise == "gaussian":
-        value = mean + rng.standard_normal()
-    elif noise == "uniform":
-        value = mean + rng.uniform(-_UNIFORM_HALF_WIDTH, _UNIFORM_HALF_WIDTH)
-    elif noise == "none":
-        value = mean
-    else:
-        raise InputError(f"unknown noise family {noise!r}")
-    return value
+    return means_at(timeline, t)[player][arm] + draw_noise(rng, noise, 1).item()
 
 
 def true_orderings(means: Sequence[Sequence[float]]) -> list[RankOrdering]:

@@ -1,17 +1,40 @@
-"""Per-player UCB learner with restart semantics.
+"""UCB learners with restart semantics.
 
-State is the pull count and reward sum per arm plus the number of rounds
-elapsed since the last restart. The confidence bonus uses the natural log
-of that round count, so the first decision round after a restart carries a
-zero bonus (all arms are unexplored there anyway and rank as infinite).
+State is the pull count and reward sum per arm, in arrays whose last axis
+is the arms (the engine keeps one (N, K) row per player, ``UcbState`` a
+single row), plus the number of rounds elapsed since the last restart. The
+confidence bonus uses the natural log of that round count, so the first
+decision round after a restart carries a zero bonus (all arms are
+unexplored there anyway and rank as infinite).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import InputError
 from .market import RankOrdering
+
+
+def ucb_values(pull_counts: np.ndarray, reward_sums: np.ndarray, tau: int) -> np.ndarray:
+    """Upper confidence bound per arm; unexplored arms are +inf.
+
+    Explored arms get empirical mean + sqrt(3 ln(tau) / (2 count)), with
+    tau the rounds elapsed in the current block (at least 1).
+    """
+    log_tau = math.log(max(tau, 1))
+    counts = np.maximum(pull_counts, 1)  # unexplored entries are overwritten below
+    values = reward_sums / counts
+    values += np.sqrt(1.5 * log_tau / counts)
+    values[pull_counts == 0] = math.inf
+    return values
+
+
+def ucb_ranking(values: np.ndarray) -> np.ndarray:
+    """Arms sorted by descending value, ties broken by ascending index."""
+    return (-values).argsort(axis=-1, kind="stable")
 
 
 class UcbState:
@@ -30,9 +53,8 @@ class UcbState:
 
     def restart(self) -> None:
         """Zero all statistics. Idempotent."""
-        for j in range(self.n_arms):
-            self.pull_counts[j] = 0
-            self.reward_sums[j] = 0.0
+        self.pull_counts[:] = [0] * self.n_arms
+        self.reward_sums[:] = [0.0] * self.n_arms
         self.rounds_since_restart = 0
 
     def begin_round(self) -> None:
@@ -48,24 +70,10 @@ class UcbState:
         self.reward_sums[arm] += reward
 
     def ucb_values(self) -> list[float]:
-        """Upper confidence bound per arm; unexplored arms are +inf.
-
-        Explored arms get empirical mean + sqrt(3 ln(tau) / (2 count)),
-        with tau the rounds elapsed in the current block.
-        """
-        tau = max(self.rounds_since_restart, 1)
-        log_tau = math.log(tau)
-        out = []
-        for j in range(self.n_arms):
-            c = self.pull_counts[j]
-            if c == 0:
-                out.append(math.inf)
-            else:
-                out.append(self.reward_sums[j] / c + math.sqrt(1.5 * log_tau / c))
-        return out
+        """The module's ``ucb_values`` on this player's row."""
+        return ucb_values(np.array(self.pull_counts), np.array(self.reward_sums, dtype=float),
+                          self.rounds_since_restart).tolist()
 
     def rank_ordering(self) -> RankOrdering:
-        """Arms sorted by descending UCB, ties broken by ascending index."""
-        values = self.ucb_values()
-        ranks = sorted(range(self.n_arms), key=lambda j: (-values[j], j))
-        return RankOrdering(self.owner, tuple(ranks))
+        """The module's ``ucb_ranking`` on this player's row."""
+        return RankOrdering(self.owner, tuple(ucb_ranking(np.array(self.ucb_values())).tolist()))

@@ -140,70 +140,57 @@ def deferred_acceptance(
 
     ``proposing_side="players"`` yields the player-optimal stable matching,
     ``proposing_side="arms"`` the player-pessimal one (both with respect to
-    the submitted orderings and the market's arm utilities). Free proposers
-    act one proposal per sweep, in ascending index order; the outcome is
-    proposal-order independent but the sweep order keeps runs deterministic.
+    the submitted orderings and the market's arm utilities).
     """
     _check_orderings(player_orderings, market)
     if proposing_side == "players":
-        return _da_players_propose(player_orderings, market)
+        rankings = [o.ranks for o in player_orderings]
+        return Matching(tuple(player_proposing_da(rankings, market.arm_utilities)))
     if proposing_side == "arms":
-        return _da_arms_propose(player_orderings, market)
+        # Roles swapped: arms propose down their utilities and players accept
+        # by their rankings. K - N dummy players, ranked last by every arm
+        # and indifferent among arms, absorb the arms left unmatched.
+        n, k = market.n_players, market.n_arms
+        arm_rankings = [sorted(range(n), key=lambda p: -u[p]) + list(range(n, k))
+                        for u in market.arm_utilities]
+        player_utilities = [{arm: -pos for pos, arm in enumerate(o.ranks)}
+                            for o in player_orderings] + [[0] * k] * (k - n)
+        player_of = player_proposing_da(arm_rankings, player_utilities)
+        return Matching(tuple(player_of.index(p) for p in range(n)))
     raise InputError(f"unknown proposing side {proposing_side!r}")
 
 
-def _da_players_propose(orderings: Sequence[RankOrdering], market: MarketInstance) -> Matching:
-    n, _ = market.n_players, market.n_arms
-    next_choice = [0] * n
-    holder: dict[int, int] = {}  # arm -> player currently held
-    matched = [False] * n
-    while not all(matched):
-        for p in range(n):
-            if matched[p]:
-                continue
-            arm = orderings[p].ranks[next_choice[p]]
-            next_choice[p] += 1
-            occupant = holder.get(arm)
-            if occupant is None:
-                holder[arm] = p
-                matched[p] = True
-            elif market.arm_prefers(arm, p, occupant):
-                holder[arm] = p
-                matched[p] = True
-                matched[occupant] = False
-    assignment = [-1] * n
-    for arm, p in holder.items():
-        assignment[p] = arm
-    return Matching(tuple(assignment))
+def player_proposing_da(
+    rankings: Sequence[Sequence[int]],
+    arm_utilities: Sequence[Sequence[float]],
+) -> list[int]:
+    """Player-optimal stable matching as ``assignment[player] = arm``.
 
-
-def _da_arms_propose(orderings: Sequence[RankOrdering], market: MarketInstance) -> Matching:
-    n, k = market.n_players, market.n_arms
-    # Each arm proposes down its player list (descending utility).
-    pref_players = [
-        sorted(range(n), key=lambda p: -market.arm_utilities[j][p]) for j in range(k)
-    ]
-    position = [{arm: pos for pos, arm in enumerate(orderings[p].ranks)} for p in range(n)]
-    next_choice = [0] * k
-    engaged: dict[int, int] = {}  # player -> arm currently held
-    free_arms = set(range(k))
-    while free_arms:
-        for arm in sorted(free_arms):
-            if next_choice[arm] >= n:
-                free_arms.discard(arm)  # exhausted its list, stays unmatched
-                continue
-            p = pref_players[arm][next_choice[arm]]
-            next_choice[arm] += 1
-            current = engaged.get(p)
-            if current is None:
-                engaged[p] = arm
-                free_arms.discard(arm)
-            elif position[p][arm] < position[p][current]:
-                engaged[p] = arm
-                free_arms.discard(arm)
-                free_arms.add(current)
-    assignment = [engaged[p] for p in range(n)]
-    return Matching(tuple(assignment))
+    ``rankings[p]`` lists player p's arms from most to least preferred and
+    ``arm_utilities[j][p]`` is arm j's utility for player p; inputs are not
+    validated. A rejected player proposes again at once; the outcome does
+    not depend on the proposal order.
+    """
+    next_choice = [0] * len(rankings)
+    holder = [-1] * len(arm_utilities)  # arm -> player currently held
+    for p in range(len(rankings)):
+        while p >= 0:
+            choice = next_choice[p]
+            next_choice[p] = choice + 1
+            arm = rankings[p][choice]
+            occupant = holder[arm]
+            if occupant < 0:
+                holder[arm] = p
+                break
+            utility = arm_utilities[arm]
+            if utility[p] > utility[occupant]:
+                holder[arm] = p
+                p = occupant  # the displaced player proposes next
+    assignment = [-1] * len(rankings)
+    for arm, p in enumerate(holder):
+        if p >= 0:
+            assignment[p] = arm
+    return assignment
 
 
 def blocking_pairs(

@@ -152,7 +152,7 @@ def run_rcb_meta(
         run.play(start, end, period)
         trace.epoch_index.extend([epoch] * (end - start + 1))
         trace.chosen_h.extend([period] * (end - start + 1))
-        epoch_reward = sum(sum(r) for r in trace.rewards[start - 1:end])
+        epoch_reward = sum(sum(r) for r in trace.rewards[start - 1:end].tolist())
         reward = min(1.0, max(0.0, epoch_reward / norm))
         exp3_update(exp3, arm, reward)
         trace.epoch_summaries.append(

@@ -106,10 +106,10 @@ def test_single_player_explores_then_commits():
     market, timeline = single_player_setup(200)
     trace = run_rcb(SimulationConfig(200, noise="none"), market, timeline)
     # Unexplored arms rank first, index ties ascending: arm 0 then arm 1.
-    assert trace.matchings[0] == (0,)
-    assert trace.matchings[1] == (1,)
+    assert trace.matchings[0].tolist() == [0]
+    assert trace.matchings[1].tolist() == [1]
     # Equal counts at t=3, so the true means decide: arm 1 wins.
-    assert trace.matchings[2] == (1,)
+    assert trace.matchings[2].tolist() == [1]
     # The worse arm is only re-pulled when its confidence bonus catches up,
     # which happens logarithmically often.
     bad_pulls = sum(1 for m in trace.matchings if m[0] == 0)
@@ -122,15 +122,15 @@ def test_conflict_market_first_rounds_hand_simulated():
     # t=1: everyone unexplored, both propose a0, a0 keeps p0.
     # t=2: each player's unexplored arm ranks first, so they swap.
     # t=3: true means take over; both want a0 again and p0 wins.
-    assert trace.matchings[:3] == [(0, 1), (1, 0), (0, 1)]
+    assert trace.matchings[:3].tolist() == [[0, 1], [1, 0], [0, 1]]
 
 
 def test_conflict_market_converges_to_unique_stable_matching():
     market, timeline = conflict_setup(300)
     trace = run_rcb(SimulationConfig(300, noise="none"), market, timeline)
-    stable_rounds = sum(1 for m in trace.matchings if m == (0, 1))
+    stable_rounds = sum(1 for m in trace.matchings.tolist() if m == [0, 1])
     assert stable_rounds >= 0.9 * 300
-    assert trace.matchings[-1] == (0, 1)
+    assert trace.matchings[-1].tolist() == [0, 1]
 
 
 def test_every_round_is_stable_for_submitted_orderings():
@@ -155,10 +155,10 @@ def test_same_seed_gives_identical_traces():
     market, timeline = conflict_setup(100)
     a = run_rcb(SimulationConfig(100, seed=3), market, timeline)
     b = run_rcb(SimulationConfig(100, seed=3), market, timeline)
-    assert a.matchings == b.matchings
-    assert a.rewards == b.rewards
+    assert np.array_equal(a.matchings, b.matchings)
+    assert np.array_equal(a.rewards, b.rewards)
     c = run_rcb(SimulationConfig(100, seed=4), market, timeline)
-    assert a.rewards != c.rewards
+    assert not np.array_equal(a.rewards, c.rewards)
 
 
 # --- regret accounting ---------------------------------------------------------------
@@ -207,10 +207,9 @@ def test_zero_regret_when_matched_to_benchmark():
     market, timeline = single_player_setup(30)
     trace = run_rcb(SimulationConfig(30, noise="none"), market, timeline)
     report = regret_report(trace, "pessimal")
-    matched_bench = [m == b for m, b in zip(trace.matchings, trace.pessimal_arms)]
-    for t, same in enumerate(matched_bench):
-        if same:
-            assert report.increments[t][0] == 0.0
+    for t, (m, b) in enumerate(zip(trace.matchings.tolist(), trace.pessimal_arms)):
+        if m == list(b):
+            assert report.increments[t].tolist() == [0.0] * trace.n_players
 
 
 # --- trace export -----------------------------------------------------------------------

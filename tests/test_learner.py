@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from competing_bandits import InputError, UcbState
+from competing_bandits.learner import ucb_ranking, ucb_values
 
 
 def test_needs_at_least_one_arm():
@@ -167,3 +170,64 @@ def test_replay_is_deterministic():
         return values
 
     assert run() == run()
+
+
+# --- array formula and ranking (properties) -------------------------------------
+
+# Rows mixing exact ties, signed zeros and infinities with arbitrary floats.
+_value = st.sampled_from([math.inf, -math.inf, 0.0, -0.0, 0.5, -1.0]) | st.floats(allow_nan=False)
+_value_matrix = st.integers(1, 7).flatmap(
+    lambda k: st.lists(st.lists(_value, min_size=k, max_size=k), min_size=1, max_size=5))
+
+
+@given(_value_matrix)
+def test_array_ranking_matches_keyed_sort(rows):
+    ranks = ucb_ranking(np.array(rows)).tolist()
+    for values, ranked in zip(rows, ranks):
+        assert ranked == sorted(range(len(values)), key=lambda j: (-values[j], j))
+
+
+_stats = st.integers(1, 7).flatmap(lambda k: st.lists(
+    st.lists(st.tuples(st.integers(0, 4), st.floats(-10, 10)), min_size=k, max_size=k),
+    min_size=1, max_size=5))
+
+
+@given(_stats, st.integers(1, 60))
+def test_ranking_is_permutation_with_unexplored_arms_first(rows, tau):
+    counts = np.array([[c for c, _ in row] for row in rows])
+    sums = np.array([[c * mean for c, mean in row] for row in rows])
+    ranks = ucb_ranking(ucb_values(counts, sums, tau)).tolist()
+    for row_counts, ranked in zip(counts.tolist(), ranks):
+        assert sorted(ranked) == list(range(len(row_counts)))
+        unexplored = [j for j, c in enumerate(row_counts) if c == 0]
+        assert ranked[:len(unexplored)] == unexplored
+
+
+@given(st.integers(1, 4), st.integers(1, 6), st.data())
+def test_ucb_state_matches_array_row(n_players, n_arms, data):
+    """Per-player states and the (N, K) arrays the engine keeps, fed the same
+    pulls, give the scalar formula's values bit for bit and the same
+    rankings."""
+    states = [UcbState(i, n_arms) for i in range(n_players)]
+    counts = np.zeros((n_players, n_arms), dtype=np.int64)
+    sums = np.zeros((n_players, n_arms))
+    rounds = data.draw(st.integers(0, 12))
+    for _ in range(rounds):
+        for s in states:
+            s.begin_round()
+        for i, s in enumerate(states):
+            arm = data.draw(st.integers(0, n_arms - 1))
+            reward = data.draw(st.floats(-5, 5))
+            s.observe(arm, reward)
+            counts[i, arm] += 1
+            sums[i, arm] += reward
+    values = ucb_values(counts, sums, rounds)
+    ranks = ucb_ranking(values).tolist()
+    log_tau = math.log(max(rounds, 1))
+    for i, s in enumerate(states):
+        # Scalar reference formula, evaluated in the same order.
+        reference = [math.inf if c == 0 else total / c + math.sqrt(1.5 * log_tau / c)
+                     for c, total in zip(s.pull_counts, s.reward_sums)]
+        assert values[i].tolist() == reference
+        assert s.ucb_values() == reference
+        assert list(s.rank_ordering().ranks) == ranks[i]

@@ -160,8 +160,8 @@ def test_single_epoch_equals_plain_run_with_drawn_period():
     plain = run_rcb(SimulationConfig(2, restart_period=period, seed=5), market, timeline, rng=rng)
 
     assert meta.chosen_h == [period, period]
-    assert meta.matchings == plain.matchings
-    assert meta.rewards == plain.rewards
+    assert np.array_equal(meta.matchings, plain.matchings)
+    assert np.array_equal(meta.rewards, plain.rewards)
     assert meta.restart_flags == plain.restart_flags
 
 
@@ -194,7 +194,7 @@ def test_meta_run_deterministic_per_seed():
     market, timeline = single_player_setup(500)
     a = run_rcb_meta(SimulationConfig(500, seed=9), market, timeline)
     b = run_rcb_meta(SimulationConfig(500, seed=9), market, timeline)
-    assert a.matchings == b.matchings
+    assert np.array_equal(a.matchings, b.matchings)
     assert a.epoch_summaries == b.epoch_summaries
     c = run_rcb_meta(SimulationConfig(500, seed=10), market, timeline)
     assert a.epoch_summaries != c.epoch_summaries
