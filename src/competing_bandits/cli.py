@@ -18,10 +18,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
-from .engine import SimulationConfig, regret_report, run_rcb, write_trace_csv
+from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
+                     write_trace_csv)
 from .environment import MeanRewardTimeline
 from .errors import CompetingBanditsError, InputError
 from .market import (
+    ENUMERATION_LIMIT,
     MarketInstance,
     RankOrdering,
     deferred_acceptance,
@@ -41,10 +43,9 @@ class SweepRow:
     restart_period: int
 
 
-def _single_run(config: ExperimentConfig, seed: int, mode: str,
-                market: MarketInstance, timeline: MeanRewardTimeline,
-                restart_period: Optional[int] = None):
-    sim = SimulationConfig(
+def _sim_config(config: ExperimentConfig, timeline: MeanRewardTimeline, seed: int = 0,
+                restart_period: Optional[int] = None) -> SimulationConfig:
+    return SimulationConfig(
         horizon=timeline.horizon,
         restart_period=restart_period if restart_period is not None else config.restart_period,
         seed=seed,
@@ -52,9 +53,6 @@ def _single_run(config: ExperimentConfig, seed: int, mode: str,
         baseline=config.baseline,
         record_orderings=False,
     )
-    if mode == "meta":
-        return run_rcb_meta(sim, market, timeline)
-    return run_rcb(sim, market, timeline)
 
 
 def run_sweep(config: ExperimentConfig, grid_key: str,
@@ -70,14 +68,11 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
     for value in grid_values:
         market, timeline = resolve(value if grid_key == "T" else None,
                                    value if grid_key == "L" else None)
-        finals = []
-        period = None
-        for seed in config.seeds:
-            trace = _single_run(config, seed, "rcb", market, timeline,
-                                restart_period=value if grid_key == "H" else None)
-            period = trace.restart_period
-            report = regret_report(trace, "pessimal")
-            finals.append(float(report.final().max()))
+        sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
+        traces = run_rcb_seeds(sim, market, timeline, config.seeds)
+        finals = [float(regret_report(trace, "pessimal").final().max()) for trace in traces]
+        period = traces[0].restart_period
+        del traces  # free this point's arrays before the next point allocates its own
         mean = statistics.fmean(finals)
         std = statistics.pstdev(finals) if len(finals) > 1 else 0.0
         rows.append(SweepRow(value, mean, std, config.seeds, period))
@@ -119,33 +114,31 @@ def oracle_check(n_instances: int, sizes: Sequence[int], seed: int) -> list[str]
     """Cross-validate both DA orientations against exhaustive enumeration.
 
     Returns a list of mismatch descriptions (empty means all clean). Each
-    instance checks that player-proposing DA matches the enumeration's
-    player-optimal element and arm-proposing DA its player-pessimal one.
+    instance draws N from ``sizes`` and K uniformly from N to the largest
+    size (at most ``ENUMERATION_LIMIT``), then checks that player-proposing
+    DA matches the enumeration's player-optimal element and arm-proposing
+    DA its player-pessimal one.
     """
     rng = np.random.default_rng(seed)
+    k_max = min(max(sizes), ENUMERATION_LIMIT)
     mismatches = []
     for idx in range(n_instances):
         n = int(rng.choice(list(sizes)))
-        market, orderings = random_market_and_orderings(n, n, rng)
+        k = int(rng.integers(n, max(n, k_max) + 1))
+        market, orderings = random_market_and_orderings(n, k, rng)
         stable = enumerate_stable_matchings(orderings, market)
-        positions = [
-            {m.assignment[p] for m in stable} for p in range(n)
-        ]
-        best = tuple(
-            min(positions[p], key=orderings[p].position_of) for p in range(n)
-        )
-        worst = tuple(
-            max(positions[p], key=orderings[p].position_of) for p in range(n)
-        )
+        positions = [{m.assignment[p] for m in stable} for p in range(n)]
+        best = tuple(min(positions[p], key=orderings[p].position_of) for p in range(n))
+        worst = tuple(max(positions[p], key=orderings[p].position_of) for p in range(n))
         da_opt = deferred_acceptance(orderings, market, "players").assignment
         da_pess = deferred_acceptance(orderings, market, "arms").assignment
         if da_opt != best:
             mismatches.append(
-                f"instance {idx} (N=K={n}): player-proposing DA {da_opt} != optimal {best}"
+                f"instance {idx} (N={n}, K={k}): player-proposing DA {da_opt} != optimal {best}"
             )
         if da_pess != worst:
             mismatches.append(
-                f"instance {idx} (N=K={n}): arm-proposing DA {da_pess} != pessimal {worst}"
+                f"instance {idx} (N={n}, K={k}): arm-proposing DA {da_pess} != pessimal {worst}"
             )
     return mismatches
 
@@ -172,8 +165,9 @@ def _cmd_run(args) -> int:
     _print_echo(config)
     metadata = echo_config(config)
     market, timeline = resolve_instance(config)
+    runner = run_rcb_meta if mode == "meta" else run_rcb
     for seed in seeds:
-        trace = _single_run(config, seed, mode, market, timeline)
+        trace = runner(_sim_config(config, timeline, seed), market, timeline)
         trace_path = out_dir / f"trace_{mode}_seed{seed}.csv"
         report = write_trace_csv(trace, trace_path, extra_metadata=metadata)
         if mode == "meta":
@@ -239,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cross-validate deferred acceptance against brute-force enumeration",
     )
     p_oracle.add_argument("--instances", type=int, default=200)
-    p_oracle.add_argument("--sizes", default="2,3,4", help="comma-separated N=K sizes")
+    p_oracle.add_argument("--sizes", default="2,3,4", help="N sizes; K is drawn in [N, max N]")
     p_oracle.add_argument("--seed", type=int, default=0)
     p_oracle.set_defaults(func=_cmd_oracle_check)
 

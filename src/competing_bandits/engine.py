@@ -2,8 +2,8 @@
 player-proposing deferred acceptance, reward dispatch, and regret
 accounting against the per-round stable benchmarks.
 
-A run is strictly sequential; independent runs (seeds, configs) share no
-state and can be driven in parallel by a sweep caller.
+Seeds of one config can share one round loop (``run_rcb_seeds``); other
+independent runs share no state and can be driven in parallel.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ class SimulationTrace:
     """Per-round record of a run plus the resolved run parameters.
 
     ``segments`` are the timeline's constant segments as (first round, last
-    round, means); benchmark means are derived from them on demand.
+    round, means); true and benchmark means are derived from them on demand.
     """
 
     n_players: int
@@ -80,11 +80,10 @@ class SimulationTrace:
     seed: int
     noise: str
     baseline: str
-    segments: list[tuple[int, int, tuple[tuple[float, ...], ...]]] = field(default_factory=list)
     # (T, N) arrays, row t - 1 for round t; matchings are int64.
-    matchings: np.ndarray = field(init=False)
-    rewards: np.ndarray = field(init=False)
-    true_means: np.ndarray = field(init=False)
+    matchings: np.ndarray
+    rewards: np.ndarray
+    segments: list[tuple[int, int, tuple[tuple[float, ...], ...]]] = field(default_factory=list)
     optimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     pessimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     restart_flags: list[int] = field(default_factory=list)
@@ -95,11 +94,16 @@ class SimulationTrace:
     chosen_h: Optional[list[int]] = None
     epoch_summaries: Optional[list] = None
 
-    def __post_init__(self):
-        shape = (self.horizon, self.n_players)
-        self.matchings = np.zeros(shape, dtype=np.int64)
-        self.rewards = np.zeros(shape)
-        self.true_means = np.zeros(shape)
+    @property
+    def true_means(self) -> np.ndarray:
+        """(T, N) true means of the matched arms, derived on every access."""
+        offsets = np.arange(self.n_players) * len(self.segments[0][2][0])
+        out = np.empty(self.matchings.shape)
+        for start, end, means in self.segments:
+            # The cells are in range; "clip" lets take write into out unbuffered.
+            np.ravel(means).take(self.matchings[start - 1:end] + offsets,
+                                 out=out[start - 1:end], mode="clip")
+        return out
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
         baseline = baseline or self.baseline
@@ -172,61 +176,89 @@ def run_rcb(
     deferred acceptance, then sample and feed back rewards. Identical
     config and seed give bit-identical traces.
     """
+    return _run_rcb(config, market, timeline, [config.seed], rng)[0]
+
+
+def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: MeanRewardTimeline,
+                  seeds: Sequence[int]) -> list[SimulationTrace]:
+    """``run_rcb`` for every seed in ``seeds`` (not ``config.seed``), all
+    advanced by one round loop. Trace i equals ``run_rcb(replace(config,
+    seed=seeds[i]), market, timeline)`` bit for bit."""
+    if len(seeds) == 0:
+        raise InputError("seeds must name at least one seed")
+    return _run_rcb(config, market, timeline, seeds)
+
+
+def _run_rcb(config: SimulationConfig, market: MarketInstance, timeline: MeanRewardTimeline,
+             seeds: Sequence[int], rng=None) -> list[SimulationTrace]:
     _check_dimensions(config, market, timeline)
     horizon = config.horizon
     if config.restart_period is not None:
         period = min(config.restart_period, horizon)
     else:
         period = compute_restart_period(horizon, total_changes(timeline))
-    run = _Run(config, market, timeline, rng, stable_benchmarks(timeline, market),
+    run = _Run(config, market, timeline, seeds, stable_benchmarks(timeline, market), rng,
                restart_period=period)
     run.play(1, horizon, period)
-    return run.trace
+    return run.traces
 
 
 class _Run:
-    """One run in progress: the market, the noise stream and the trace
-    they fill. The plain and the meta loop both advance it with ``play``;
-    extra keyword arguments become trace fields.
-    """
+    """Runs of S >= 1 seeds in progress: the market, a noise stream per seed
+    (``rng`` replaces a single seed's) and the traces they fill. The plain
+    and the meta loop both advance it with ``play``; extra keyword
+    arguments become trace fields."""
 
     def __init__(self, config: SimulationConfig, market: MarketInstance,
-                 timeline: MeanRewardTimeline, rng: Optional[np.random.Generator],
-                 benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
+                 timeline: MeanRewardTimeline, seeds: Sequence[int],
+                 benchmarks: Sequence[tuple[Matching, Matching]], rng=None, **trace_fields):
         self.market = market
         self.noise = config.noise
-        self.rng = np.random.default_rng(config.seed) if rng is None else rng
+        self.rngs = [rng] if rng is not None else [np.random.default_rng(s) for s in seeds]
         record_orderings = config.record_orderings
         if record_orderings is None:
             record_orderings = config.horizon <= 5000
-        self.trace = SimulationTrace(
-            n_players=market.n_players,
-            horizon=config.horizon,
-            seed=config.seed,
-            noise=config.noise,
-            baseline=config.baseline,
-            segments=timeline.segments(),
-            optimal_arms=[opt.assignment for opt, _ in benchmarks],
-            pessimal_arms=[pess.assignment for _, pess in benchmarks],
-            orderings=[] if record_orderings else None,
-            **trace_fields,
-        )
-        self.segment_means = [np.ravel(means) for _, _, means in self.trace.segments]
+        n, width = market.n_players, len(seeds) * market.n_players
+        # (T, S * N) arrays; seed s owns columns s * N to (s + 1) * N, which
+        # its trace sees as its (T, N) arrays.
+        self.matchings = np.zeros((config.horizon, width), dtype=np.int64)
+        self.rewards = np.zeros((config.horizon, width))
+        segments = timeline.segments()
+        optimal_arms = [opt.assignment for opt, _ in benchmarks]
+        pessimal_arms = [pess.assignment for _, pess in benchmarks]
+        self.traces = [
+            SimulationTrace(n, config.horizon, seed=seed, noise=config.noise,
+                            baseline=config.baseline, matchings=self.matchings[:, lo:lo + n],
+                            rewards=self.rewards[:, lo:lo + n], segments=segments,
+                            optimal_arms=optimal_arms, pessimal_arms=pessimal_arms,
+                            orderings=[] if record_orderings else None, **trace_fields)
+            for seed, lo in zip(seeds, range(0, width, n))
+        ]
+        # Each segment's (N, K) means, flat and repeated once per seed.
+        self.segment_means = [np.tile(np.ravel(means), len(seeds)) for _, _, means in segments]
 
     def play(self, start: int, end: int, period: int) -> None:
-        """Play rounds ``start`` to ``end`` inclusive, restarting every
-        learner when ``(t - start) % period == 0``, so at ``start`` too.
-        Block numbers continue from the trace."""
-        trace, n, k = self.trace, self.market.n_players, self.market.n_arms
-        # Learner state: (N, K) pull counts and reward sums, also viewed flat
-        # with cell offsets[i] + a for (player i, arm a), and the block round
-        # count tau shared by all players (restarts are synchronized).
-        counts, sums = np.zeros((n, k)), np.zeros((n, k))
+        """Play rounds ``start`` to ``end`` inclusive for every seed,
+        restarting every learner when ``(t - start) % period == 0``, so at
+        ``start`` too. Block numbers continue from the traces."""
+        n, k, utilities = self.market.n_players, self.market.n_arms, self.market.arm_utilities
+        matchings, rewards, traces = self.matchings, self.rewards, self.traces
+        width = rewards.shape[1]
+        seed_rows = range(0, width, n)  # each seed's first trace column and learner row
+        # Each seed's noise for the whole range in one draw (the same stream
+        # as one draw per round); each round adds its true means to its row.
+        rows = rewards[start - 1:end]
+        for lo, rng in zip(seed_rows, self.rngs):
+            rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
+        # Learner state: (S * N, K) pull counts and reward sums, row s * N + i
+        # for player i of seed s, also viewed flat with cell offsets[row] + a,
+        # and the block round count tau shared by all (restarts are synchronized).
+        counts, sums = np.zeros((width, k)), np.zeros((width, k))
         flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
-        offsets = np.arange(n) * k
-        segments, segment_means = trace.segments, self.segment_means
+        offsets = np.arange(width) * k
+        segments, segment_means = traces[0].segments, self.segment_means
         seg_idx = tau = 0
-        block = trace.block_index[-1] if trace.block_index else 0
+        block = traces[0].block_index[-1] if traces[0].block_index else 0
         for t in range(start, end + 1):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
@@ -238,26 +270,26 @@ class _Run:
                 tau = 0
             tau += 1
             rankings = ucb_ranking(ucb_values(counts, sums, tau)).tolist()
-            arms = player_proposing_da(rankings, self.market.arm_utilities)
-            cells = offsets + arms
-            true_row = segment_means[seg_idx].take(cells)
-            rewards = true_row + draw_noise(self.rng, self.noise, len(arms))
+            cells = offsets + [arm for lo in seed_rows
+                               for arm in player_proposing_da(rankings[lo:lo + n], utilities)]
+            row = rewards[t - 1]
+            row += segment_means[seg_idx].take(cells)
             flat_counts[cells] += 1
-            flat_sums[cells] += rewards
-
-            trace.matchings[t - 1] = arms
-            trace.rewards[t - 1] = rewards
-            trace.true_means[t - 1] = true_row
-            trace.restart_flags.append(1 if restart else 0)
-            trace.block_index.append(block)
-            if trace.orderings is not None:
-                trace.orderings.append(
-                    tuple(RankOrdering(i, tuple(r)) for i, r in enumerate(rankings)))
+            flat_sums[cells] += row
+            matchings[t - 1] = cells  # made arm indices after the loop
+            for trace in traces:
+                trace.restart_flags.append(1 if restart else 0)
+                trace.block_index.append(block)
+            if traces[0].orderings is not None:
+                for trace, lo in zip(traces, seed_rows):
+                    trace.orderings.append(tuple(
+                        RankOrdering(i, tuple(r)) for i, r in enumerate(rankings[lo:lo + n])))
+        matchings[start - 1:end] -= offsets
 
 
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:
     """Cumulative and per-block regret against the chosen benchmark,
-    computed from true means recorded in the trace."""
+    computed from the true (not sampled) means of the matched arms."""
     baseline = baseline or trace.baseline
     increments = np.asarray(trace.benchmark_means(baseline)) - trace.true_means
     cumulative = np.cumsum(increments, axis=0)
@@ -299,6 +331,7 @@ def write_trace_csv(trace: SimulationTrace, path,
     Returns the regret report the rows were computed from."""
     report = regret_report(trace)
     bench_arms = trace.benchmark_arms()
+    true_means = trace.true_means
     is_meta = trace.chosen_h is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
     with open(path, "w", newline="") as fh:
@@ -310,7 +343,7 @@ def write_trace_csv(trace: SimulationTrace, path,
             # One round at a time: Python floats for repr, little memory.
             arms = trace.matchings[t].tolist()
             rewards = trace.rewards[t].tolist()
-            means = trace.true_means[t].tolist()
+            means = true_means[t].tolist()
             increments = report.increments[t].tolist()
             cumulative = report.cumulative[t].tolist()
             head = (t + 1, trace.block_index[t], trace.restart_flags[t])

@@ -133,15 +133,15 @@ def run_rcb_meta(
     horizon = config.horizon
     ensemble = build_ensemble(horizon)
     run = _Run(
-        config, market, timeline, rng, stable_benchmarks(timeline, market),
+        config, market, timeline, [config.seed], stable_benchmarks(timeline, market), rng,
         restart_period=0,  # varies per epoch; see chosen_h
         epoch_index=[],
         chosen_h=[],
         epoch_summaries=[],
     )
-    trace = run.trace
+    trace = run.traces[0]
     gamma = default_gamma(len(ensemble.periods), ensemble.epoch_count)
-    exp3 = Exp3State.fresh(len(ensemble.periods), gamma, run.rng)
+    exp3 = Exp3State.fresh(len(ensemble.periods), gamma, run.rngs[0])
     norm = market.n_players * ensemble.epoch_length * timeline.mu_bar
 
     for epoch in range(ensemble.epoch_count):

@@ -22,6 +22,7 @@ from competing_bandits import (
     regret_report,
     run_rcb,
     run_rcb_meta,
+    run_rcb_seeds,
     write_trace_csv,
 )
 from competing_bandits.cli import oracle_check
@@ -142,10 +143,8 @@ def test_criterion_4_stationary_convergence():
     start = time.perf_counter()
     market, timeline = stationary_3x3()
     horizon, mu_bar = timeline.horizon, timeline.mu_bar
-    for seed in range(N_SEEDS):
-        config = SimulationConfig(horizon, restart_period=horizon, seed=seed,
-                                  record_orderings=False)
-        trace = run_rcb(config, market, timeline)
+    config = SimulationConfig(horizon, restart_period=horizon, record_orderings=False)
+    for trace in run_rcb_seeds(config, market, timeline, range(N_SEEDS)):
         final = regret_report(trace, "pessimal").final()
         assert np.all(final / horizon <= 0.02 * mu_bar)
         tail = trace.matchings[-1_000:]
@@ -169,11 +168,8 @@ def test_criterion_5_sublinear_regret():
             mu_bar=10.0, change_fractions=(0.2, 0.4, 0.6, 0.8),
         )
         market, timeline = generate_instance(spec, horizon)
-        traces = [
-            run_rcb(SimulationConfig(horizon, seed=seed, record_orderings=False),
-                    market, timeline)
-            for seed in range(N_SEEDS)
-        ]
+        traces = run_rcb_seeds(SimulationConfig(horizon, record_orderings=False),
+                               market, timeline, range(N_SEEDS))
         rates[horizon] = mean_max_player_regret(traces) / horizon
     elapsed = time.perf_counter() - start
     assert rates[20_000] < 0.8 * rates[5_000]
@@ -192,11 +188,9 @@ def test_criterion_6_restart_necessity():
 
     means = {}
     for label, period in (("auto", None), ("unit", 1), ("never", horizon)):
-        traces = [
-            run_rcb(SimulationConfig(horizon, restart_period=period, seed=seed,
-                                     record_orderings=False), market, timeline)
-            for seed in range(N_SEEDS)
-        ]
+        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period,
+                                                record_orderings=False),
+                               market, timeline, range(N_SEEDS))
         means[label] = mean_max_player_regret(traces)
     elapsed = time.perf_counter() - start
     assert means["auto"] <= 0.8 * means["unit"]
@@ -243,13 +237,10 @@ def test_criterion_8_meta_mode_sanity():
 
     fixed = {}
     for period in build_ensemble(horizon).periods:
-        finals = [
-            joint_regret(run_rcb(
-                SimulationConfig(horizon, restart_period=period, seed=seed,
-                                 record_orderings=False), market, timeline))
-            for seed in range(N_SEEDS)
-        ]
-        fixed[period] = float(np.mean(finals))
+        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period,
+                                                record_orderings=False),
+                               market, timeline, range(N_SEEDS))
+        fixed[period] = float(np.mean([joint_regret(trace) for trace in traces]))
     best = min(fixed.values())
 
     meta_finals = []

@@ -1,5 +1,7 @@
 """Config parsing, instance generation, sweeps, and the CLI surface."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from competing_bandits import (
     run_rcb,
     total_changes,
 )
+from competing_bandits import cli
 from competing_bandits.cli import main, oracle_check, run_sweep
 from competing_bandits.config import (
     GeneratorSpec,
@@ -250,6 +253,34 @@ def test_sweep_rejects_unknown_grid_key(tmp_path):
 
 def test_oracle_check_clean_on_random_instances():
     assert oracle_check(50, (2, 3, 4), seed=0) == []
+
+
+def test_oracle_check_draws_wide_markets(monkeypatch):
+    sizes = []
+    enumerate_stable_matchings = cli.enumerate_stable_matchings
+
+    def spy(orderings, market):
+        sizes.append((market.n_players, market.n_arms))
+        return enumerate_stable_matchings(orderings, market)
+
+    monkeypatch.setattr(cli, "enumerate_stable_matchings", spy)
+    assert oracle_check(60, (2, 3, 4), seed=0) == []
+    assert all(n in (2, 3, 4) and n <= k <= 4 for n, k in sizes)
+    assert any(k > n for n, k in sizes)
+
+
+def test_oracle_check_mismatch_names_n_and_k(monkeypatch):
+    # Answering with arm-proposing DA for both orientations is wrong wherever
+    # an instance has more than one stable matching.
+    deferred_acceptance = cli.deferred_acceptance
+
+    def arms_propose(orderings, market, side):
+        return deferred_acceptance(orderings, market, "arms")
+
+    monkeypatch.setattr(cli, "deferred_acceptance", arms_propose)
+    mismatches = oracle_check(100, (3, 4), seed=0)
+    assert mismatches
+    assert all(re.search(r"\(N=\d, K=\d\): player-proposing DA", m) for m in mismatches)
 
 
 # --- CLI ---------------------------------------------------------------------------------

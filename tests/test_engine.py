@@ -1,7 +1,12 @@
-"""Simulation loop: restart schedule, regret accounting, trace export."""
+"""Simulation loop: restart schedule, seed batching, regret accounting,
+trace export."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competing_bandits import (
     ChangeEvent,
@@ -11,10 +16,13 @@ from competing_bandits import (
     SimulationConfig,
     blocking_pairs,
     compute_restart_period,
+    means_at,
     regret_report,
     run_rcb,
+    run_rcb_seeds,
     write_trace_csv,
 )
+from competing_bandits.config import GeneratorSpec, generate_instance
 
 
 def conflict_setup(horizon, events=()):
@@ -161,6 +169,49 @@ def test_same_seed_gives_identical_traces():
     assert not np.array_equal(a.rewards, c.rewards)
 
 
+# --- seed batching --------------------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_batched_runs_equal_sequential_runs(data):
+    """Every trace of one batched run equals the run of its seed alone, on
+    random markets with K >= N, each noise family, restart periods from
+    every round to never, repeated seeds and orderings on and off."""
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    horizon = data.draw(st.integers(1, 60), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    config = SimulationConfig(
+        horizon,
+        restart_period=data.draw(st.sampled_from([1, horizon, None])
+                                 | st.integers(1, horizon), label="H"),
+        noise=data.draw(st.sampled_from(["gaussian", "uniform", "none"]), label="noise"),
+        record_orderings=data.draw(st.booleans(), label="record_orderings"),
+    )
+    # A small pool next to the full range makes repeated seeds common.
+    seeds = data.draw(st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1),
+                               min_size=1, max_size=5), label="seeds")
+    batched = run_rcb_seeds(config, market, timeline, seeds)
+    assert [trace.seed for trace in batched] == seeds
+    for seed, trace in zip(seeds, batched):
+        alone = run_rcb(replace(config, seed=seed), market, timeline)
+        for name in ("matchings", "rewards", "true_means"):
+            assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
+        assert trace.restart_flags == alone.restart_flags
+        assert trace.block_index == alone.block_index
+        assert trace.orderings == alone.orderings
+        assert trace.restart_period == alone.restart_period
+
+
+def test_batched_run_rejects_empty_seed_list():
+    market, timeline = single_player_setup(5)
+    with pytest.raises(InputError, match="seeds"):
+        run_rcb_seeds(SimulationConfig(5), market, timeline, [])
+
+
 # --- regret accounting ---------------------------------------------------------------
 
 def test_benchmarks_recorded_from_true_means():
@@ -170,6 +221,15 @@ def test_benchmarks_recorded_from_true_means():
     assert set(trace.optimal_arms) == {(0, 1)}
     assert trace.optimal_arms == trace.pessimal_arms
     assert set(trace.benchmark_means("optimal")) == {(0.9, 0.3)}
+
+
+def test_true_means_are_the_matched_arms_means():
+    market, timeline = conflict_setup(40, (ChangeEvent(15, 0, 1, 0.95),
+                                           ChangeEvent(30, 1, 0, 0.1)))
+    trace = run_rcb(SimulationConfig(40, seed=4), market, timeline)
+    for t, (arms, means) in enumerate(zip(trace.matchings.tolist(),
+                                          trace.true_means.tolist()), start=1):
+        assert means == [means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
 
 
 def test_regret_uses_true_means_not_samples():

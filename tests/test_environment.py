@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from competing_bandits import (
     AssumptionError,
@@ -18,7 +20,7 @@ from competing_bandits import (
     stable_benchmarks,
     total_changes,
 )
-from competing_bandits.environment import true_orderings
+from competing_bandits.environment import NOISE_FAMILIES, draw_noise, true_orderings
 
 
 def flat_timeline(horizon=10, events=(), mu_bar=1.0):
@@ -203,6 +205,21 @@ def test_uniform_noise_bounded_and_unit_variance():
     assert values.max() <= 0.1 + half_width
     assert abs(values.mean() - 0.1) < 0.02
     assert abs(values.var() - 1.0) < 0.03
+
+
+@pytest.mark.parametrize("family", NOISE_FAMILIES)
+@given(a=st.integers(0, 40), b=st.integers(0, 40), seed=st.integers(0, 2**32 - 1))
+def test_one_block_draw_equals_consecutive_draws(family, a, b, seed):
+    """The engine draws a whole range of rounds' noise in one call; that is
+    only the sequential stream if a draw of a + b values equals a draw of a
+    followed by a draw of b from the same generator, bit for bit."""
+    block = draw_noise(np.random.default_rng(seed), family, a + b)
+    rng = np.random.default_rng(seed)
+    parts = np.concatenate([draw_noise(rng, family, a), draw_noise(rng, family, b)])
+    assert block.tobytes() == parts.tobytes(), (
+        f"numpy draws {family} noise for {a} + {b} values differently in one call "
+        "than in two; the engine's one draw per play() block then no longer "
+        "reproduces round-by-round draws, and traces change")
 
 
 def test_unknown_noise_family_rejected():
