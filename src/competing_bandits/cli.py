@@ -51,7 +51,6 @@ def _sim_config(config: ExperimentConfig, timeline: MeanRewardTimeline, seed: in
         seed=seed,
         noise=config.noise,
         baseline=config.baseline,
-        record_orderings=False,
     )
 
 

@@ -215,11 +215,14 @@ def _parse_matrix(text: str, section: str, key: str) -> list[list[float]]:
     return rows
 
 
-def _parse_int(section, key, value):
+def _parse_int(section, key, value, minimum=None):
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise ConfigError(f"[{section.name}] {key}: expected an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ConfigError(f"[{section.name}] {key}: must be at least {minimum}, got {number}")
+    return number
 
 
 def _parse_float(section, key, value):
@@ -254,9 +257,7 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"[experiment] version: unsupported version {version}")
     if "horizon" not in exp:
         raise ConfigError("[experiment] horizon: required key is missing")
-    horizon = _parse_int(exp, "horizon", exp["horizon"])
-    if horizon < 1:
-        raise ConfigError("[experiment] horizon: must be at least 1")
+    horizon = _parse_int(exp, "horizon", exp["horizon"], minimum=1)
 
     mode = exp.get("mode", "rcb").strip()
     if mode not in MODES:
@@ -272,8 +273,8 @@ def parse_config(path) -> ExperimentConfig:
         seeds = tuple(int(s) for s in exp.get("seeds", "0").replace(",", " ").split())
     except ValueError:
         raise ConfigError("[experiment] seeds: expected comma-separated integers")
-    if not seeds:
-        raise ConfigError("[experiment] seeds: need at least one seed")
+    if not seeds or min(seeds) < 0:
+        raise ConfigError("[experiment] seeds: need at least one seed, none negative")
     baseline = exp.get("baseline", "pessimal").strip()
     if baseline not in BASELINES:
         raise ConfigError(f"[experiment] baseline: must be one of {BASELINES}")
@@ -304,7 +305,7 @@ def parse_config(path) -> ExperimentConfig:
             except ValueError:
                 raise ConfigError("[generator] change_fractions: expected numbers")
         generator = GeneratorSpec(
-            seed=_parse_int(gen, "seed", gen.get("seed", "0")),
+            seed=_parse_int(gen, "seed", gen.get("seed", "0"), minimum=0),
             n_players=_parse_int(gen, "n_players", gen["n_players"]),
             n_arms=_parse_int(gen, "n_arms", gen["n_arms"]),
             delta=_parse_float(gen, "delta", gen["delta"]),

@@ -17,12 +17,12 @@ import numpy as np
 
 # The loop no longer calls deferred_acceptance or sample_reward; they stay
 # importable here because perfbench/tracing.py wraps them at these names.
-from .environment import (MeanRewardTimeline, draw_noise, sample_reward,  # noqa: F401
-                          stable_benchmarks, total_changes)
+from .environment import (NOISE_FAMILIES, MeanRewardTimeline, draw_noise,  # noqa: F401
+                          sample_reward, stable_benchmarks, total_changes)
 from .errors import InputError
 from .learner import ucb_ranking, ucb_values
-from .market import (MarketInstance, Matching, RankOrdering,  # noqa: F401
-                     deferred_acceptance, player_proposing_da)
+from .market import (MarketInstance, Matching, deferred_acceptance,  # noqa: F401
+                     player_proposing_da)
 
 BASELINES = ("pessimal", "optimal")
 
@@ -55,13 +55,16 @@ class SimulationConfig:
     seed: int = 0
     noise: str = "gaussian"
     baseline: str = "pessimal"
-    record_orderings: Optional[bool] = None
 
     def __post_init__(self):
         if self.horizon < 1:
             raise InputError("horizon must be at least 1")
         if self.restart_period is not None and self.restart_period < 1:
             raise InputError("explicit restart period must be at least 1")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
+        if self.noise not in NOISE_FAMILIES:
+            raise InputError(f"noise must be one of {NOISE_FAMILIES}, got {self.noise!r}")
         if self.baseline not in BASELINES:
             raise InputError(f"baseline must be one of {BASELINES}")
 
@@ -72,6 +75,8 @@ class SimulationTrace:
 
     ``segments`` are the timeline's constant segments as (first round, last
     round, means); true and benchmark means are derived from them on demand.
+    The traces of one batch share ``segments``, the benchmark arm lists and
+    the restart schedule (``restart_flags``, ``block_index``).
     """
 
     n_players: int
@@ -88,7 +93,6 @@ class SimulationTrace:
     pessimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     restart_flags: list[int] = field(default_factory=list)
     block_index: list[int] = field(default_factory=list)
-    orderings: Optional[list[tuple[RankOrdering, ...]]] = None
     # Meta-mode extras; None for plain runs.
     epoch_index: Optional[list[int]] = None
     chosen_h: Optional[list[int]] = None
@@ -113,15 +117,13 @@ class SimulationTrace:
             return self.pessimal_arms
         raise InputError(f"unknown baseline {baseline!r}; must be one of {BASELINES}")
 
-    def benchmark_means(self, baseline: Optional[str] = None) -> list[tuple[float, ...]]:
-        """Per-round true means of the benchmark matching. The benchmark is
-        constant within a segment, so each row is built once per segment."""
+    def benchmark_means(self, baseline: Optional[str] = None) -> np.ndarray:
+        """(T, N) true means of the benchmark matching. The benchmark is
+        constant within a segment, so each segment is filled with one row."""
         arms = self.benchmark_arms(baseline)
-        out: list[tuple[float, ...]] = []
+        out = np.empty(self.matchings.shape)
         for start, end, means in self.segments:
-            bench = arms[start - 1]
-            row = tuple(means[i][bench[i]] for i in range(self.n_players))
-            out.extend([row] * (end - start + 1))
+            out[start - 1:end] = [row[arm] for row, arm in zip(means, arms[start - 1])]
         return out
 
 
@@ -184,8 +186,8 @@ def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: Me
     """``run_rcb`` for every seed in ``seeds`` (not ``config.seed``), all
     advanced by one round loop. Trace i equals ``run_rcb(replace(config,
     seed=seeds[i]), market, timeline)`` bit for bit."""
-    if len(seeds) == 0:
-        raise InputError("seeds must name at least one seed")
+    if len(seeds) == 0 or min(seeds) < 0:
+        raise InputError(f"seeds must name at least one seed, none negative, got {list(seeds)}")
     return _run_rcb(config, market, timeline, seeds)
 
 
@@ -215,23 +217,22 @@ class _Run:
         self.market = market
         self.noise = config.noise
         self.rngs = [rng] if rng is not None else [np.random.default_rng(s) for s in seeds]
-        record_orderings = config.record_orderings
-        if record_orderings is None:
-            record_orderings = config.horizon <= 5000
         n, width = market.n_players, len(seeds) * market.n_players
         # (T, S * N) arrays; seed s owns columns s * N to (s + 1) * N, which
         # its trace sees as its (T, N) arrays.
         self.matchings = np.zeros((config.horizon, width), dtype=np.int64)
         self.rewards = np.zeros((config.horizon, width))
         segments = timeline.segments()
-        optimal_arms = [opt.assignment for opt, _ in benchmarks]
-        pessimal_arms = [pess.assignment for _, pess in benchmarks]
+        # One restart schedule for the whole batch, like the benchmarks.
+        self.restart_flags, self.block_index = [], []
+        shared = dict(segments=segments, restart_flags=self.restart_flags,
+                      block_index=self.block_index,
+                      optimal_arms=[opt.assignment for opt, _ in benchmarks],
+                      pessimal_arms=[pess.assignment for _, pess in benchmarks])
         self.traces = [
             SimulationTrace(n, config.horizon, seed=seed, noise=config.noise,
                             baseline=config.baseline, matchings=self.matchings[:, lo:lo + n],
-                            rewards=self.rewards[:, lo:lo + n], segments=segments,
-                            optimal_arms=optimal_arms, pessimal_arms=pessimal_arms,
-                            orderings=[] if record_orderings else None, **trace_fields)
+                            rewards=self.rewards[:, lo:lo + n], **shared, **trace_fields)
             for seed, lo in zip(seeds, range(0, width, n))
         ]
         # Each segment's (N, K) means, flat and repeated once per seed.
@@ -240,9 +241,10 @@ class _Run:
     def play(self, start: int, end: int, period: int) -> None:
         """Play rounds ``start`` to ``end`` inclusive for every seed,
         restarting every learner when ``(t - start) % period == 0``, so at
-        ``start`` too. Block numbers continue from the traces."""
+        ``start`` too. Block numbers continue from the schedule so far."""
         n, k, utilities = self.market.n_players, self.market.n_arms, self.market.arm_utilities
-        matchings, rewards, traces = self.matchings, self.rewards, self.traces
+        matchings, rewards = self.matchings, self.rewards
+        restart_flags, block_index = self.restart_flags, self.block_index
         width = rewards.shape[1]
         seed_rows = range(0, width, n)  # each seed's first trace column and learner row
         # Each seed's noise for the whole range in one draw (the same stream
@@ -256,9 +258,9 @@ class _Run:
         counts, sums = np.zeros((width, k)), np.zeros((width, k))
         flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
         offsets = np.arange(width) * k
-        segments, segment_means = traces[0].segments, self.segment_means
+        segments, segment_means = self.traces[0].segments, self.segment_means
         seg_idx = tau = 0
-        block = traces[0].block_index[-1] if traces[0].block_index else 0
+        block = block_index[-1] if block_index else 0
         for t in range(start, end + 1):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
@@ -277,13 +279,8 @@ class _Run:
             flat_counts[cells] += 1
             flat_sums[cells] += row
             matchings[t - 1] = cells  # made arm indices after the loop
-            for trace in traces:
-                trace.restart_flags.append(1 if restart else 0)
-                trace.block_index.append(block)
-            if traces[0].orderings is not None:
-                for trace, lo in zip(traces, seed_rows):
-                    trace.orderings.append(tuple(
-                        RankOrdering(i, tuple(r)) for i, r in enumerate(rankings[lo:lo + n])))
+            restart_flags.append(1 if restart else 0)
+            block_index.append(block)
         matchings[start - 1:end] -= offsets
 
 
@@ -291,7 +288,7 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
     """Cumulative and per-block regret against the chosen benchmark,
     computed from the true (not sampled) means of the matched arms."""
     baseline = baseline or trace.baseline
-    increments = np.asarray(trace.benchmark_means(baseline)) - trace.true_means
+    increments = trace.benchmark_means(baseline) - trace.true_means
     cumulative = np.cumsum(increments, axis=0)
 
     flags = trace.restart_flags

@@ -92,7 +92,7 @@ def test_criterion_1_oracle_equivalence():
 
 # --- 2: stability certification --------------------------------------------------
 
-def test_criterion_2_stability_certification():
+def test_criterion_2_stability_certification(submitted_orderings):
     checked = 0
     for market, timeline, mode in [
         (*stationary_3x3(), "rcb"),
@@ -103,9 +103,9 @@ def test_criterion_2_stability_certification():
             config = SimulationConfig(timeline.horizon, seed=seed)
             runner = run_rcb_meta if mode == "meta" else run_rcb
             trace = runner(config, market, timeline)
-            assert trace.orderings is not None
-            for m, orderings in zip(trace.matchings, trace.orderings):
-                assert blocking_pairs(Matching(m), list(orderings), market) == []
+            rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
+            for m, orderings in rounds:
+                assert blocking_pairs(Matching(m), orderings, market) == []
                 checked += 1
     report(2, f"zero blocking pairs across {checked} simulated rounds")
 
@@ -143,7 +143,7 @@ def test_criterion_4_stationary_convergence():
     start = time.perf_counter()
     market, timeline = stationary_3x3()
     horizon, mu_bar = timeline.horizon, timeline.mu_bar
-    config = SimulationConfig(horizon, restart_period=horizon, record_orderings=False)
+    config = SimulationConfig(horizon, restart_period=horizon)
     for trace in run_rcb_seeds(config, market, timeline, range(N_SEEDS)):
         final = regret_report(trace, "pessimal").final()
         assert np.all(final / horizon <= 0.02 * mu_bar)
@@ -168,8 +168,7 @@ def test_criterion_5_sublinear_regret():
             mu_bar=10.0, change_fractions=(0.2, 0.4, 0.6, 0.8),
         )
         market, timeline = generate_instance(spec, horizon)
-        traces = run_rcb_seeds(SimulationConfig(horizon, record_orderings=False),
-                               market, timeline, range(N_SEEDS))
+        traces = run_rcb_seeds(SimulationConfig(horizon), market, timeline, range(N_SEEDS))
         rates[horizon] = mean_max_player_regret(traces) / horizon
     elapsed = time.perf_counter() - start
     assert rates[20_000] < 0.8 * rates[5_000]
@@ -188,8 +187,7 @@ def test_criterion_6_restart_necessity():
 
     means = {}
     for label, period in (("auto", None), ("unit", 1), ("never", horizon)):
-        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period,
-                                                record_orderings=False),
+        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period),
                                market, timeline, range(N_SEEDS))
         means[label] = mean_max_player_regret(traces)
     elapsed = time.perf_counter() - start
@@ -237,17 +235,14 @@ def test_criterion_8_meta_mode_sanity():
 
     fixed = {}
     for period in build_ensemble(horizon).periods:
-        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period,
-                                                record_orderings=False),
+        traces = run_rcb_seeds(SimulationConfig(horizon, restart_period=period),
                                market, timeline, range(N_SEEDS))
         fixed[period] = float(np.mean([joint_regret(trace) for trace in traces]))
     best = min(fixed.values())
 
     meta_finals = []
     for seed in range(N_SEEDS):
-        trace = run_rcb_meta(
-            SimulationConfig(horizon, seed=seed, record_orderings=False),
-            market, timeline)
+        trace = run_rcb_meta(SimulationConfig(horizon, seed=seed), market, timeline)
         meta_finals.append(joint_regret(trace))
         for summary in trace.epoch_summaries:
             assert abs(sum(summary.probabilities) - 1.0) < 1e-12

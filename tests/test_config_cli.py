@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competing_bandits import (
     ConfigError,
@@ -108,6 +110,8 @@ def test_parse_generator_config(tmp_path):
         ("horizon = 60", "horizon = 0", "horizon"),
         ("horizon = 60", "horizon = soon", "integer"),
         ("version = 1", "version = 1\nmode = oracle-check", "mode"),
+        ("version = 1", "version = 1\nseeds = -1", "[experiment] seeds"),
+        ("version = 1", "version = 1\nseeds = 0, 3, -2", "[experiment] seeds"),
     ],
 )
 def test_parse_rejects_bad_experiment_section(tmp_path, old, new, fragment):
@@ -143,6 +147,12 @@ def test_parse_rejects_both_instance_styles(tmp_path):
     assert "not both" in str(err.value)
 
 
+def test_parse_rejects_negative_generator_seed(tmp_path):
+    text = GENERATOR_CONFIG.replace("seed = 7", "seed = -3")
+    with pytest.raises(ConfigError, match=r"\[generator\] seed"):
+        parse_config(write_config(tmp_path, text))
+
+
 def test_parse_rejects_infeasible_delta(tmp_path):
     text = GENERATOR_CONFIG.replace("delta = 0.1", "delta = 0.6")
     with pytest.raises(ConfigError) as err:
@@ -159,6 +169,25 @@ def test_generator_honours_change_count_and_gap():
     assert timeline.horizon == 500
     assert total_changes(timeline) == 8
     assert min_gap(timeline) >= 0.2 - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_generated_instances_keep_a_positive_gap(data):
+    """Every segment of every generated timeline keeps its arms apart:
+    min_gap > 0, and at least the delta floor up to rounding."""
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    mu_bar = data.draw(st.floats(0.5, 20.0), label="mu_bar")
+    # Below mu_bar / (2 (K - 1)) a free value always exists for a change.
+    delta = data.draw(st.floats(0.01, 0.45), label="delta fraction") * mu_bar / k
+    horizon = data.draw(st.integers(1, 300), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                         n_players=n, n_arms=k, delta=delta, mu_bar=mu_bar,
+                         n_changes=data.draw(st.integers(0, min(12, horizon - 1)), label="L"))
+    _, timeline = generate_instance(spec, horizon)
+    assert min_gap(timeline) > 0
+    assert min_gap(timeline) >= delta - 1e-9 * mu_bar
 
 
 def test_generator_stationary():

@@ -12,10 +12,12 @@ from competing_bandits import (
     ChangeEvent,
     InputError,
     MarketInstance,
+    Matching,
     MeanRewardTimeline,
     SimulationConfig,
     blocking_pairs,
     compute_restart_period,
+    deferred_acceptance,
     means_at,
     regret_report,
     run_rcb,
@@ -85,6 +87,10 @@ def test_config_rejects_bad_values():
         SimulationConfig(10, restart_period=0)
     with pytest.raises(InputError):
         SimulationConfig(10, baseline="median")
+    with pytest.raises(InputError, match="seed"):
+        SimulationConfig(10, seed=-1)
+    with pytest.raises(InputError, match="noise"):
+        SimulationConfig(5, noise="cauchy")
 
 
 def test_run_rejects_horizon_mismatch():
@@ -141,22 +147,14 @@ def test_conflict_market_converges_to_unique_stable_matching():
     assert trace.matchings[-1].tolist() == [0, 1]
 
 
-def test_every_round_is_stable_for_submitted_orderings():
+def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
     market, timeline = conflict_setup(120)
     trace = run_rcb(SimulationConfig(120, seed=5), market, timeline)
-    assert trace.orderings is not None
-    for m, orderings in zip(trace.matchings, trace.orderings):
-        from competing_bandits import Matching
-
-        assert blocking_pairs(Matching(m), list(orderings), market) == []
-
-
-def test_ordering_recording_toggle():
-    market, timeline = single_player_setup(10)
-    on = run_rcb(SimulationConfig(10, record_orderings=True), market, timeline)
-    off = run_rcb(SimulationConfig(10, record_orderings=False), market, timeline)
-    assert on.orderings is not None and len(on.orderings) == 10
-    assert off.orderings is None
+    rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
+    for m, orderings in rounds:
+        assert blocking_pairs(Matching(m), orderings, market) == []
+        # The loop's clearing is the reference DA on the replayed orderings.
+        assert deferred_acceptance(orderings, market).assignment == tuple(m)
 
 
 def test_same_seed_gives_identical_traces():
@@ -176,7 +174,7 @@ def test_same_seed_gives_identical_traces():
 def test_batched_runs_equal_sequential_runs(data):
     """Every trace of one batched run equals the run of its seed alone, on
     random markets with K >= N, each noise family, restart periods from
-    every round to never, repeated seeds and orderings on and off."""
+    every round to never, and repeated seeds."""
     n = data.draw(st.integers(1, 4), label="N")
     k = data.draw(st.integers(n, 6), label="K")
     horizon = data.draw(st.integers(1, 60), label="T")
@@ -189,7 +187,6 @@ def test_batched_runs_equal_sequential_runs(data):
         restart_period=data.draw(st.sampled_from([1, horizon, None])
                                  | st.integers(1, horizon), label="H"),
         noise=data.draw(st.sampled_from(["gaussian", "uniform", "none"]), label="noise"),
-        record_orderings=data.draw(st.booleans(), label="record_orderings"),
     )
     # A small pool next to the full range makes repeated seeds common.
     seeds = data.draw(st.lists(st.integers(0, 3) | st.integers(0, 2**32 - 1),
@@ -202,7 +199,6 @@ def test_batched_runs_equal_sequential_runs(data):
             assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
         assert trace.restart_flags == alone.restart_flags
         assert trace.block_index == alone.block_index
-        assert trace.orderings == alone.orderings
         assert trace.restart_period == alone.restart_period
 
 
@@ -210,6 +206,8 @@ def test_batched_run_rejects_empty_seed_list():
     market, timeline = single_player_setup(5)
     with pytest.raises(InputError, match="seeds"):
         run_rcb_seeds(SimulationConfig(5), market, timeline, [])
+    with pytest.raises(InputError, match="negative"):
+        run_rcb_seeds(SimulationConfig(5), market, timeline, [0, -1])
 
 
 # --- regret accounting ---------------------------------------------------------------
@@ -220,7 +218,7 @@ def test_benchmarks_recorded_from_true_means():
     # Unique stable matching, so both benchmarks coincide every round.
     assert set(trace.optimal_arms) == {(0, 1)}
     assert trace.optimal_arms == trace.pessimal_arms
-    assert set(trace.benchmark_means("optimal")) == {(0.9, 0.3)}
+    assert trace.benchmark_means("optimal").tolist() == [[0.9, 0.3]] * 20
 
 
 def test_true_means_are_the_matched_arms_means():
@@ -236,7 +234,7 @@ def test_regret_uses_true_means_not_samples():
     market, timeline = conflict_setup(40)
     trace = run_rcb(SimulationConfig(40, seed=1, noise="gaussian"), market, timeline)
     report = regret_report(trace, "pessimal")
-    expected = np.asarray(trace.benchmark_means("pessimal")) - np.asarray(trace.true_means)
+    expected = trace.benchmark_means("pessimal") - trace.true_means
     assert np.allclose(report.increments, expected)
     assert np.allclose(report.cumulative, np.cumsum(expected, axis=0))
     assert np.allclose(report.final(), report.cumulative[-1])

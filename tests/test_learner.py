@@ -71,12 +71,23 @@ def test_restart_clears_everything():
     assert s.ucb_values() == [math.inf, math.inf]
 
 
-def test_restart_is_idempotent():
-    s = UcbState(0, 2)
-    s.begin_round()
-    s.observe(1, 0.4)
+_observations = st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(
+    st.tuples(st.booleans(), st.integers(0, k - 1), st.floats(-10, 10)), max_size=30)))
+
+
+@given(_observations)
+def test_restart_is_idempotent(case):
+    """After any sequence of rounds and pulls, one restart gives the fresh
+    state and a second restart changes nothing."""
+    n_arms, steps = case
+    s = UcbState(0, n_arms)
+    for new_round, arm, reward in steps:
+        if new_round:
+            s.begin_round()
+        s.observe(arm, reward)
     s.restart()
     snapshot = (list(s.pull_counts), list(s.reward_sums), s.rounds_since_restart)
+    assert snapshot == ([0] * n_arms, [0.0] * n_arms, 0)
     s.restart()
     assert (list(s.pull_counts), list(s.reward_sums), s.rounds_since_restart) == snapshot
 
