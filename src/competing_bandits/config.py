@@ -44,6 +44,8 @@ class GeneratorSpec:
     change_fractions: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
         if self.n_players < 1:
             raise ConfigError("generator: n_players must be positive")
         if self.n_arms < self.n_players:

@@ -8,9 +8,10 @@ independent runs share no state and can be driven in parallel.
 
 from __future__ import annotations
 
-import csv
+import bisect
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,6 +41,9 @@ TRACE_COLUMNS = (
     "cumulative_regret",
 )
 META_TRACE_COLUMNS = TRACE_COLUMNS + ("epoch_index", "chosen_H")
+# Rounds per chunk of the trace export; one chunk's column strings are held
+# at a time, so export memory does not grow with the horizon.
+_EXPORT_CHUNK_ROUNDS = 256
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,7 @@ class SimulationTrace:
     @property
     def true_means(self) -> np.ndarray:
         """(T, N) true means of the matched arms, derived on every access."""
-        offsets = np.arange(self.n_players) * len(self.segments[0][2][0])
-        out = np.empty(self.matchings.shape)
-        for start, end, means in self.segments:
-            # The cells are in range; "clip" lets take write into out unbuffered.
-            np.ravel(means).take(self.matchings[start - 1:end] + offsets,
-                                 out=out[start - 1:end], mode="clip")
-        return out
+        return _true_means(self, 0, self.horizon)
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
         baseline = baseline or self.baseline
@@ -125,6 +123,23 @@ class SimulationTrace:
         for start, end, means in self.segments:
             out[start - 1:end] = [row[arm] for row, arm in zip(means, arms[start - 1])]
         return out
+
+
+def _true_means(trace: SimulationTrace, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, N) true means of the matched arms in rows lo to hi - 1,
+    from the segments that cover those rounds."""
+    segments = trace.segments
+    offsets = np.arange(trace.n_players) * len(segments[0][2][0])
+    out = np.empty((hi - lo, trace.n_players))
+    # The first segment that ends at round lo + 1 or later.
+    for i in range(bisect.bisect_right(segments, lo, key=lambda s: s[1]), len(segments)):
+        start, end, means = segments[i]
+        if start > hi:
+            break
+        a, b = max(start - 1, lo), min(end, hi)
+        # The cells are in range; "clip" lets take write into out unbuffered.
+        np.ravel(means).take(trace.matchings[a:b] + offsets, out=out[a - lo:b - lo], mode="clip")
+    return out
 
 
 @dataclass(frozen=True)
@@ -325,29 +340,52 @@ def write_trace_csv(trace: SimulationTrace, path,
                     extra_metadata: Sequence[tuple[str, str]] = ()) -> RegretReport:
     """Write one row per (round, player); resolved parameters go into
     leading '#' comment lines so the file alone reproduces the run.
-    Returns the regret report the rows were computed from."""
+    Returns the regret report the rows were computed from.
+
+    Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``)
+    but are built column-wise, ``_EXPORT_CHUNK_ROUNDS`` rounds at a time."""
     report = regret_report(trace)
+    n = trace.n_players
     bench_arms = trace.benchmark_arms()
-    true_means = trace.true_means
     is_meta = trace.chosen_h is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
+    players = [str(i) for i in range(n)]
+    arms = [str(a) for a in range(len(trace.segments[0][2][0]))]  # indexing beats str() per cell
+
+    def per_player(*values):
+        """Per-round columns, joined into one string per round and repeated
+        once per player."""
+        joined = map(",".join, zip(*(map(str, column) for column in values)))
+        return [text for text in joined for _ in players]
+
     with open(path, "w", newline="") as fh:
         for key, value in list(trace_metadata(trace)) + list(extra_metadata):
             fh.write(f"# {key} = {value}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for t in range(trace.horizon):
-            # One round at a time: Python floats for repr, little memory.
-            arms = trace.matchings[t].tolist()
-            rewards = trace.rewards[t].tolist()
-            means = true_means[t].tolist()
-            increments = report.increments[t].tolist()
-            cumulative = report.cumulative[t].tolist()
-            head = (t + 1, trace.block_index[t], trace.restart_flags[t])
-            tail = (trace.epoch_index[t], trace.chosen_h[t]) if is_meta else ()
-            writer.writerows(
-                (*head, i, arms[i], repr(rewards[i]), repr(means[i]), bench_arms[t][i],
-                 repr(increments[i]), repr(cumulative[i]), *tail)
-                for i in range(trace.n_players)
-            )
+        fh.write(",".join(columns) + "\r\n")
+        for lo in range(0, trace.horizon, _EXPORT_CHUNK_ROUNDS):
+            hi = min(lo + _EXPORT_CHUNK_ROUNDS, trace.horizon)
+            size = (hi - lo) * n
+            # True means, increments and cumulative regret take few distinct
+            # values: repr each distinct bit pattern once (bits, not values,
+            # so that -0.0 stays apart from 0.0).
+            few = np.concatenate((_true_means(trace, lo, hi).ravel(),
+                                  report.increments[lo:hi].ravel(),
+                                  report.cumulative[lo:hi].ravel()))
+            bits, inverse = np.unique(few.view(np.int64), return_inverse=True)
+            texts = [repr(v) for v in bits.view(np.float64).tolist()]
+            reprs = [texts[j] for j in inverse.tolist()]
+            fields = [
+                per_player(range(lo + 1, hi + 1), trace.block_index[lo:hi],
+                           trace.restart_flags[lo:hi]),
+                players * (hi - lo),
+                map(arms.__getitem__, trace.matchings[lo:hi].ravel().tolist()),
+                map(repr, trace.rewards[lo:hi].ravel().tolist()),
+                reprs[:size],
+                map(arms.__getitem__, chain.from_iterable(bench_arms[lo:hi])),
+                reprs[size:2 * size],
+                reprs[2 * size:],
+            ]
+            if is_meta:
+                fields.append(per_player(trace.epoch_index[lo:hi], trace.chosen_h[lo:hi]))
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
     return report

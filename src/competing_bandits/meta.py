@@ -10,6 +10,7 @@ sees only those reward totals, never the timeline's change schedule.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -165,8 +166,6 @@ def write_epoch_summary_csv(trace: SimulationTrace, path) -> None:
     """One row per epoch: choice, normalized reward, probability snapshot."""
     if trace.epoch_summaries is None:
         raise InputError("trace has no epoch summaries (not a meta run)")
-    import csv
-
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed = {trace.seed}\n")
         fh.write(f"# horizon = {trace.horizon}\n")

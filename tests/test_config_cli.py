@@ -1,6 +1,7 @@
 """Config parsing, instance generation, sweeps, and the CLI surface."""
 
 import re
+import string
 
 import numpy as np
 import pytest
@@ -19,12 +20,16 @@ from competing_bandits import (
 from competing_bandits import cli
 from competing_bandits.cli import main, oracle_check, run_sweep
 from competing_bandits.config import (
+    MODES,
+    ExperimentConfig,
     GeneratorSpec,
     echo_config,
     generate_instance,
     parse_config,
     resolve_instance,
 )
+from competing_bandits.engine import BASELINES
+from competing_bandits.environment import NOISE_FAMILIES
 
 EXPLICIT_CONFIG = """
 [experiment]
@@ -151,6 +156,60 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
     text = GENERATOR_CONFIG.replace("seed = 7", "seed = -3")
     with pytest.raises(ConfigError, match=r"\[generator\] seed"):
         parse_config(write_config(tmp_path, text))
+
+
+def ini_from_echo(pairs):
+    """Config text holding echoed pairs: plain keys in [experiment],
+    ``generator.<key>`` ones in [generator]."""
+    sections = {"experiment": [], "generator": []}
+    for key, value in pairs:
+        section, _, name = key.rpartition(".")
+        sections[section or "experiment"].append(f"{name} = {value}\n")
+    return "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
+
+
+@st.composite
+def generator_configs(draw):
+    """Valid ExperimentConfigs with a [generator] section."""
+    n = draw(st.integers(1, 5), label="N")
+    k = draw(st.integers(n, 8), label="K")
+    mu_bar = draw(st.floats(0.1, 100.0), label="mu_bar")
+    n_changes = draw(st.integers(0, 5), label="changes")
+    fractions = draw(st.none() | st.tuples(*[st.floats(0.0, 1.0)] * n_changes),
+                     label="change_fractions")
+    generator = GeneratorSpec(
+        seed=draw(st.integers(0, 2**32 - 1), label="generator seed"),
+        n_players=n, n_arms=k, mu_bar=mu_bar, n_changes=n_changes, change_fractions=fractions,
+        delta=draw(st.floats(0.01, 0.99), label="delta fraction") * mu_bar / k,
+    )
+    return ExperimentConfig(
+        version=1,
+        mode=draw(st.sampled_from(MODES), label="mode"),
+        horizon=draw(st.integers(1, 10**6), label="T"),
+        restart_period=draw(st.none() | st.integers(1, 10**6), label="H"),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+                         label="seeds")),
+        baseline=draw(st.sampled_from(BASELINES), label="baseline"),
+        noise=draw(st.sampled_from(NOISE_FAMILIES), label="noise"),
+        generator=generator,
+        out_dir=draw(st.text(string.ascii_letters + string.digits + "_-./", min_size=1,
+                             max_size=12), label="out"),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_configs())
+def test_echoed_generator_config_parses_back(tmp_path_factory, config):
+    """The echo of a [generator] config, written back as a config file,
+    parses to the same ExperimentConfig."""
+    path = tmp_path_factory.mktemp("echo") / "echo.ini"
+    path.write_text(ini_from_echo(echo_config(config)))
+    assert parse_config(path) == config
+
+
+def test_generator_spec_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="seed"):
+        GeneratorSpec(seed=-3, n_players=2, n_arms=2, delta=0.1, n_changes=0)
 
 
 def test_parse_rejects_infeasible_delta(tmp_path):

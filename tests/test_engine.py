@@ -1,6 +1,7 @@
 """Simulation loop: restart schedule, seed batching, regret accounting,
 trace export."""
 
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -21,10 +22,13 @@ from competing_bandits import (
     means_at,
     regret_report,
     run_rcb,
+    run_rcb_meta,
     run_rcb_seeds,
     write_trace_csv,
 )
 from competing_bandits.config import GeneratorSpec, generate_instance
+from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS, _true_means
+from trace_oracle import write_trace_csv_rows
 
 
 def conflict_setup(horizon, events=()):
@@ -230,6 +234,20 @@ def test_true_means_are_the_matched_arms_means():
         assert means == [means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
 
 
+def test_true_means_of_any_row_range():
+    """The true means of rows lo to hi - 1, as the chunked export derives
+    them, for every range of a trace whose segments start on the first,
+    the last and inner rounds."""
+    events = tuple(ChangeEvent(t, t % 2, 1 - t % 2, 0.1 * t / 12) for t in (2, 3, 7, 12))
+    market, timeline = conflict_setup(12, events)
+    trace = run_rcb(SimulationConfig(12, seed=3), market, timeline)
+    expected = [[means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
+                for t, arms in enumerate(trace.matchings.tolist(), start=1)]
+    for lo in range(12):
+        for hi in range(lo + 1, 13):
+            assert _true_means(trace, lo, hi).tolist() == expected[lo:hi], (lo, hi)
+
+
 def test_regret_uses_true_means_not_samples():
     market, timeline = conflict_setup(40)
     trace = run_rcb(SimulationConfig(40, seed=1, noise="gaussian"), market, timeline)
@@ -304,3 +322,65 @@ def test_trace_csv_bytes_reproducible(tmp_path):
         write_trace_csv(trace, path)
         payloads.append(path.read_bytes())
     assert payloads[0] == payloads[1]
+
+
+CHUNK = _EXPORT_CHUNK_ROUNDS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_trace_csv_equals_row_wise_oracle(tmp_path_factory, data):
+    """The column-wise, chunked writer gives the row-wise writer's bytes for
+    rcb and meta traces (batched ones included), every noise family and
+    horizons around the chunk size, with and without extra metadata."""
+    mode = data.draw(st.sampled_from(["rcb", "rcb batch", "meta"]), label="mode")
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    # Meta mode needs two rounds and tunes its own restart period.
+    horizon = data.draw(st.integers(1 + (mode == "meta"), CHUNK - 1)
+                        | st.sampled_from([CHUNK, 2 * CHUNK, 3 * CHUNK])
+                        | st.sampled_from([m * CHUNK + d for m in (1, 2) for d in (-1, 1)]),
+                        label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    period = None if mode == "meta" else data.draw(st.none() | st.integers(1, horizon), label="H")
+    config = SimulationConfig(
+        horizon,
+        restart_period=period,
+        seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+        noise=data.draw(st.sampled_from(["gaussian", "uniform", "none"]), label="noise"),
+    )
+    if mode == "meta":
+        trace = run_rcb_meta(config, market, timeline)
+    else:
+        # The last trace of a batch sees column slices of the batch arrays.
+        seeds = [config.seed] if mode == "rcb" else [config.seed + 1, config.seed]
+        trace = run_rcb_seeds(config, market, timeline, seeds)[-1]
+    text = st.text(string.ascii_letters + string.digits + " _.=-", max_size=12)
+    extra = data.draw(st.lists(st.tuples(text, text), max_size=3), label="extra_metadata")
+    out = tmp_path_factory.mktemp("export")
+    report = write_trace_csv(trace, out / "columns.csv", extra)
+    expected = write_trace_csv_rows(trace, out / "rows.csv", extra)
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+    assert np.array_equal(report.cumulative, expected.cumulative)
+
+
+def test_trace_csv_keeps_negative_zero(tmp_path):
+    """A -0.0 mean exports as -0.0 (reward and true mean of round 1) while
+    the 0.0 increments of later rounds in the same chunk stay 0.0: the
+    distinct-value repr keys on bit patterns, not float values."""
+    market = MarketInstance(1, 2, ((0.0,), (1.0,)))
+    timeline = MeanRewardTimeline(4, ((-0.0, 0.5),))
+    trace = run_rcb(SimulationConfig(4, noise="none"), market, timeline)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    header, *rows = [line.split(",") for line in lines]
+    first, second = dict(zip(header, rows[0])), dict(zip(header, rows[1]))
+    assert first["matched_arm"] == "0"
+    assert first["sampled_reward"] == first["true_mean"] == "-0.0"
+    assert second["regret_increment"] == "0.0"
+    write_trace_csv_rows(trace, tmp_path / "rows.csv")
+    assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
