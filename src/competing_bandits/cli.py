@@ -148,6 +148,17 @@ def _print_echo(config: ExperimentConfig) -> None:
         print(f"  {key} = {value}")
 
 
+def _int_list(text: str, flag: str, minimum: Optional[int] = None) -> list[int]:
+    """The integers of a comma-separated flag value; InputError names the flag."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
+    if minimum is not None and min(values) < minimum:
+        raise InputError(f"{flag}: values must be at least {minimum}, got {text!r}")
+    return values
+
+
 def _cmd_validate(args) -> int:
     config = parse_config(args.config)
     _print_echo(config)
@@ -157,7 +168,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    seeds = tuple(int(s) for s in args.seed.split(",")) if args.seed else config.seeds
+    seeds = config.seeds if args.seed is None else _int_list(args.seed, "--seed", minimum=0)
     mode = args.mode or config.mode
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -179,11 +190,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
-    try:
-        grid_key, raw = args.grid.split("=", 1)
-        grid_values = [int(v) for v in raw.split(",") if v]
-    except ValueError:
+    grid_key, eq, raw = args.grid.partition("=")
+    if not eq:
         raise InputError("--grid must look like KEY=v1,v2,... with integer values")
+    grid_values = _int_list(raw, "--grid")
     rows = run_sweep(config, grid_key.strip(), grid_values)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,7 +207,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _int_list(args.sizes, "--sizes", minimum=1)
+    if args.instances < 1:
+        raise InputError(f"--instances: must be at least 1, got {args.instances}")
     mismatches = oracle_check(args.instances, sizes, args.seed)
     if mismatches:
         for line in mismatches:

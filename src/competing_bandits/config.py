@@ -202,12 +202,15 @@ def resolve_instance(
     return config.market, config.timeline
 
 
+def _rows(text: str) -> list[str]:
+    """Non-empty rows of a multi-row value: one per line or per ';' (the
+    separator ``echo_config`` writes)."""
+    return [row.strip() for row in text.replace(";", "\n").splitlines() if row.strip()]
+
+
 def _parse_matrix(text: str, section: str, key: str) -> list[list[float]]:
     rows = []
-    for line in text.strip().splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for line in _rows(text):
         try:
             rows.append([float(v) for v in line.split()])
         except ValueError:
@@ -271,6 +274,10 @@ def parse_config(path) -> ExperimentConfig:
         restart_period = _parse_int(exp, "restart_period", raw_period)
         if restart_period < 1:
             raise ConfigError("[experiment] restart_period: must be at least 1 or 'auto'")
+    if mode == "meta" and restart_period is not None:
+        raise ConfigError("[experiment] restart_period: meta mode tunes it itself; must be 'auto'")
+    if mode == "meta" and horizon < 2:
+        raise ConfigError("[experiment] horizon: meta mode needs at least 2")
     try:
         seeds = tuple(int(s) for s in exp.get("seeds", "0").replace(",", " ").split())
     except ValueError:
@@ -341,10 +348,7 @@ def parse_config(path) -> ExperimentConfig:
         means = _parse_matrix(tl["initial_means"], "timeline", "initial_means")
         events = []
         if "events" in tl:
-            for line in tl["events"].strip().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+            for line in _rows(tl["events"]):
                 parts = line.split()
                 if len(parts) != 4:
                     raise ConfigError(

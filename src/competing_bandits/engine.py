@@ -170,21 +170,10 @@ def compute_restart_period(horizon: int, change_count: int) -> int:
     return max(1, min(horizon, h))
 
 
-def _check_dimensions(config: SimulationConfig, market: MarketInstance,
-                      timeline: MeanRewardTimeline) -> None:
-    if market.n_players != timeline.n_players or market.n_arms != timeline.n_arms:
-        raise InputError("market and timeline dimensions disagree")
-    if config.horizon != timeline.horizon:
-        raise InputError(
-            f"config horizon {config.horizon} != timeline horizon {timeline.horizon}"
-        )
-
-
 def run_rcb(
     config: SimulationConfig,
     market: MarketInstance,
     timeline: MeanRewardTimeline,
-    rng: Optional[np.random.Generator] = None,
 ) -> SimulationTrace:
     """Run the restart-UCB matching loop for the full horizon.
 
@@ -193,7 +182,7 @@ def run_rcb(
     deferred acceptance, then sample and feed back rewards. Identical
     config and seed give bit-identical traces.
     """
-    return _run_rcb(config, market, timeline, [config.seed], rng)[0]
+    return run_rcb_seeds(config, market, timeline, [config.seed])[0]
 
 
 def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: MeanRewardTimeline,
@@ -203,18 +192,12 @@ def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: Me
     seed=seeds[i]), market, timeline)`` bit for bit."""
     if len(seeds) == 0 or min(seeds) < 0:
         raise InputError(f"seeds must name at least one seed, none negative, got {list(seeds)}")
-    return _run_rcb(config, market, timeline, seeds)
-
-
-def _run_rcb(config: SimulationConfig, market: MarketInstance, timeline: MeanRewardTimeline,
-             seeds: Sequence[int], rng=None) -> list[SimulationTrace]:
-    _check_dimensions(config, market, timeline)
     horizon = config.horizon
     if config.restart_period is not None:
         period = min(config.restart_period, horizon)
     else:
         period = compute_restart_period(horizon, total_changes(timeline))
-    run = _Run(config, market, timeline, seeds, stable_benchmarks(timeline, market), rng,
+    run = _Run(config, market, timeline, seeds, stable_benchmarks(timeline, market),
                restart_period=period)
     run.play(1, horizon, period)
     return run.traces
@@ -222,16 +205,21 @@ def _run_rcb(config: SimulationConfig, market: MarketInstance, timeline: MeanRew
 
 class _Run:
     """Runs of S >= 1 seeds in progress: the market, a noise stream per seed
-    (``rng`` replaces a single seed's) and the traces they fill. The plain
-    and the meta loop both advance it with ``play``; extra keyword
-    arguments become trace fields."""
+    and the traces they fill. The plain and the meta loop both advance it
+    with ``play``; extra keyword arguments become trace fields."""
 
     def __init__(self, config: SimulationConfig, market: MarketInstance,
                  timeline: MeanRewardTimeline, seeds: Sequence[int],
-                 benchmarks: Sequence[tuple[Matching, Matching]], rng=None, **trace_fields):
+                 benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
+        if market.n_players != timeline.n_players or market.n_arms != timeline.n_arms:
+            raise InputError("market and timeline dimensions disagree")
+        if config.horizon != timeline.horizon:
+            raise InputError(
+                f"config horizon {config.horizon} != timeline horizon {timeline.horizon}"
+            )
         self.market = market
         self.noise = config.noise
-        self.rngs = [rng] if rng is not None else [np.random.default_rng(s) for s in seeds]
+        self.rngs = [np.random.default_rng(s) for s in seeds]
         n, width = market.n_players, len(seeds) * market.n_players
         # (T, S * N) arrays; seed s owns columns s * N to (s + 1) * N, which
         # its trace sees as its (T, N) arrays.

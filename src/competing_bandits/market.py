@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, InputError
 
@@ -90,13 +90,6 @@ class Matching:
             raise InputError("matching must be injective")
         object.__setattr__(self, "assignment", assignment)
 
-    def player_of(self, arm: int) -> Optional[int]:
-        """The player holding ``arm``, or None if the arm is unmatched."""
-        try:
-            return self.assignment.index(arm)
-        except ValueError:
-            return None
-
 
 @dataclass(frozen=True)
 class BlockingTriplet:
@@ -155,8 +148,8 @@ def deferred_acceptance(
                         for u in market.arm_utilities]
         player_utilities = [{arm: -pos for pos, arm in enumerate(o.ranks)}
                             for o in player_orderings] + [[0] * k] * (k - n)
-        player_of = player_proposing_da(arm_rankings, player_utilities)
-        return Matching(tuple(player_of.index(p) for p in range(n)))
+        holders = player_proposing_da(arm_rankings, player_utilities)
+        return Matching(tuple(holders.index(p) for p in range(n)))
     raise InputError(f"unknown proposing side {proposing_side!r}")
 
 
@@ -244,18 +237,6 @@ def enumerate_stable_matchings(
     return stable
 
 
-def valid_partners(
-    player: int,
-    player_orderings: Sequence[RankOrdering],
-    market: MarketInstance,
-) -> set[int]:
-    """Arms the player receives in at least one stable matching."""
-    return {
-        m.assignment[player]
-        for m in enumerate_stable_matchings(player_orderings, market)
-    }
-
-
 def optimal_pessimal(
     player_orderings: Sequence[RankOrdering],
     market: MarketInstance,
@@ -267,49 +248,3 @@ def optimal_pessimal(
         deferred_acceptance(player_orderings, market, "arms"),
     )
 
-
-def blocked_set(
-    triplet: BlockingTriplet,
-    player_orderings: Sequence[RankOrdering],
-    market: MarketInstance,
-) -> list[Matching]:
-    """All matchings where the triplet's player holds ``matched_arm`` and
-    (player, preferred_arm) is a blocking pair."""
-    _check_size_guard(market)
-    _check_orderings(player_orderings, market)
-    ordering = player_orderings[triplet.player]
-    if ordering.position_of(triplet.preferred_arm) > ordering.position_of(triplet.matched_arm):
-        return []  # blocking requires the preferred arm to outrank the held one
-    out = []
-    for m in _all_matchings(market):
-        if m.assignment[triplet.player] != triplet.matched_arm:
-            continue
-        other = m.player_of(triplet.preferred_arm)
-        if other is None or market.arm_prefers(triplet.preferred_arm, triplet.player, other):
-            out.append(m)
-    out.sort(key=lambda m: m.assignment)
-    return out
-
-
-def is_cover(
-    triplets: Sequence[BlockingTriplet],
-    target: Sequence[Matching],
-    player_orderings: Sequence[RankOrdering],
-    market: MarketInstance,
-) -> bool:
-    """True iff the union of the triplets' blocked sets contains ``target``."""
-    covered: set[tuple[int, ...]] = set()
-    for q in triplets:
-        covered.update(m.assignment for m in blocked_set(q, player_orderings, market))
-    return all(m.assignment in covered for m in target)
-
-
-def all_triplets(market: MarketInstance) -> list[BlockingTriplet]:
-    """Every syntactically valid blocking triplet of the market."""
-    out = []
-    for p in range(market.n_players):
-        for k in range(market.n_arms):
-            for k2 in range(market.n_arms):
-                if k != k2:
-                    out.append(BlockingTriplet(p, k, k2))
-    return out

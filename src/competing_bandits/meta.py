@@ -13,11 +13,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .engine import SimulationConfig, SimulationTrace, _check_dimensions, _Run
+from .engine import SimulationConfig, SimulationTrace, _Run
 from .environment import MeanRewardTimeline, stable_benchmarks
 from .errors import InputError
 from .market import MarketInstance
@@ -117,7 +116,6 @@ def run_rcb_meta(
     config: SimulationConfig,
     market: MarketInstance,
     timeline: MeanRewardTimeline,
-    rng: Optional[np.random.Generator] = None,
 ) -> SimulationTrace:
     """Run the restart loop with the restart period chosen per epoch by
     EXP3.
@@ -128,13 +126,12 @@ def run_rcb_meta(
     mu_bar and clipped to [0, 1]. The trace gains per-round epoch/period
     columns and a per-epoch summary list.
     """
-    _check_dimensions(config, market, timeline)
     if config.restart_period is not None:
         raise InputError("meta mode tunes the restart period itself; leave it unset")
     horizon = config.horizon
     ensemble = build_ensemble(horizon)
     run = _Run(
-        config, market, timeline, [config.seed], stable_benchmarks(timeline, market), rng,
+        config, market, timeline, [config.seed], stable_benchmarks(timeline, market),
         restart_period=0,  # varies per epoch; see chosen_h
         epoch_index=[],
         chosen_h=[],

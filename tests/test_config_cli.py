@@ -117,6 +117,9 @@ def test_parse_generator_config(tmp_path):
         ("version = 1", "version = 1\nmode = oracle-check", "mode"),
         ("version = 1", "version = 1\nseeds = -1", "[experiment] seeds"),
         ("version = 1", "version = 1\nseeds = 0, 3, -2", "[experiment] seeds"),
+        ("version = 1", "version = 1\nmode = meta\nrestart_period = 10",
+         "[experiment] restart_period"),
+        ("horizon = 60", "horizon = 1\nmode = meta", "[experiment] horizon"),
     ],
 )
 def test_parse_rejects_bad_experiment_section(tmp_path, old, new, fragment):
@@ -160,17 +163,18 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
 
 def ini_from_echo(pairs):
     """Config text holding echoed pairs: plain keys in [experiment],
-    ``generator.<key>`` ones in [generator]."""
-    sections = {"experiment": [], "generator": []}
+    ``<section>.<key>`` ones (generator, market, timeline) in [<section>]."""
+    sections = {"experiment": []}
     for key, value in pairs:
         section, _, name = key.rpartition(".")
-        sections[section or "experiment"].append(f"{name} = {value}\n")
+        sections.setdefault(section or "experiment", []).append(f"{name} = {value}\n")
     return "".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items())
 
 
 @st.composite
 def generator_configs(draw):
-    """Valid ExperimentConfigs with a [generator] section."""
+    """Valid ExperimentConfigs with a [generator] section; meta mode gets
+    an auto restart period and a horizon of at least 2."""
     n = draw(st.integers(1, 5), label="N")
     k = draw(st.integers(n, 8), label="K")
     mu_bar = draw(st.floats(0.1, 100.0), label="mu_bar")
@@ -182,11 +186,13 @@ def generator_configs(draw):
         n_players=n, n_arms=k, mu_bar=mu_bar, n_changes=n_changes, change_fractions=fractions,
         delta=draw(st.floats(0.01, 0.99), label="delta fraction") * mu_bar / k,
     )
+    mode = draw(st.sampled_from(MODES), label="mode")
     return ExperimentConfig(
         version=1,
-        mode=draw(st.sampled_from(MODES), label="mode"),
-        horizon=draw(st.integers(1, 10**6), label="T"),
-        restart_period=draw(st.none() | st.integers(1, 10**6), label="H"),
+        mode=mode,
+        horizon=draw(st.integers(2 if mode == "meta" else 1, 10**6), label="T"),
+        restart_period=None if mode == "meta" else draw(st.none() | st.integers(1, 10**6),
+                                                        label="H"),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
                          label="seeds")),
         baseline=draw(st.sampled_from(BASELINES), label="baseline"),
@@ -205,6 +211,41 @@ def test_echoed_generator_config_parses_back(tmp_path_factory, config):
     path = tmp_path_factory.mktemp("echo") / "echo.ini"
     path.write_text(ini_from_echo(echo_config(config)))
     assert parse_config(path) == config
+
+
+WIDE_EXPLICIT_CONFIG = """
+[experiment]
+version = 1
+horizon = 90
+mode = meta
+noise = uniform
+
+[market]
+n_players = 2
+n_arms = 3
+arm_utilities =
+    2.0 1.0
+    1.0 2.0
+    0.5 3.0
+
+[timeline]
+mu_bar = 2.0
+initial_means =
+    0.9 0.4 1.7
+    0.8 0.3 0.1
+events =
+    30 0 1 0.95
+    61 1 2 1.25
+"""
+
+
+@pytest.mark.parametrize("text", [EXPLICIT_CONFIG, WIDE_EXPLICIT_CONFIG], ids=["2x2", "2x3_meta"])
+def test_echoed_explicit_config_parses_back(tmp_path, text):
+    """The echo of a [market]+[timeline] config, written back as a config
+    file, parses to a config with the same echo (timelines have no __eq__)."""
+    echo = echo_config(parse_config(write_config(tmp_path, text)))
+    path = write_config(tmp_path, ini_from_echo(echo), name="echo.ini")
+    assert echo_config(parse_config(path)) == echo
 
 
 def test_generator_spec_rejects_negative_seed():
@@ -426,6 +467,31 @@ def test_cli_sweep_writes_summary(tmp_path, capsys):
 def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
     path = write_config(tmp_path, EXPLICIT_CONFIG)
     assert main(["sweep", "--config", str(path), "--grid", "H=a,b"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--seed", "abc"], "--seed"),
+        (["run", "--seed", "1,,2"], "--seed"),
+        (["run", "--seed", ""], "--seed"),
+        (["run", "--seed", "0,-1"], "--seed"),
+        (["sweep", "--grid", "H="], "--grid"),
+        (["sweep", "--grid", "H=5,x"], "--grid"),
+        (["oracle-check", "--sizes", "2,x"], "--sizes"),
+        (["oracle-check", "--sizes", "0,2"], "--sizes"),
+        (["oracle-check", "--instances", "-5"], "--instances"),
+        (["oracle-check", "--instances", "0"], "--instances"),
+    ],
+)
+def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):
+    out_dir = tmp_path / "out"
+    if argv[0] != "oracle-check":
+        argv = argv + ["--config", str(write_config(tmp_path, EXPLICIT_CONFIG)),
+                       "--out", str(out_dir)]
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_oracle_check_exits_zero(capsys):

@@ -12,15 +12,13 @@ from competing_bandits import (
     MarketInstance,
     Matching,
     RankOrdering,
-    blocked_set,
     blocking_pairs,
     deferred_acceptance,
     enumerate_stable_matchings,
-    is_cover,
     optimal_pessimal,
-    valid_partners,
 )
-from competing_bandits.market import all_triplets
+from competing_bandits.cli import random_market_and_orderings
+from market_oracle import all_triplets, blocked_set, is_cover, valid_partners
 
 
 def ordering(owner, *ranks):
@@ -47,16 +45,6 @@ def multistable_2x2():
     """Players want different arms than the arms want: two stable matchings."""
     market = MarketInstance(2, 2, ((1.0, 2.0), (2.0, 1.0)))
     orderings = [ordering(0, 0, 1), ordering(1, 1, 0)]
-    return market, orderings
-
-
-def random_instance(n, k, rng):
-    market = MarketInstance(
-        n, k, tuple(tuple(float(v) for v in rng.permutation(n)) for _ in range(k))
-    )
-    orderings = [
-        RankOrdering(i, tuple(int(a) for a in rng.permutation(k))) for i in range(n)
-    ]
     return market, orderings
 
 
@@ -126,7 +114,7 @@ def test_da_conflict_brute_forced():
 
 def test_da_3x3_matches_enumeration_optimum():
     rng = np.random.default_rng(0)
-    market, orderings = random_instance(3, 3, rng)
+    market, orderings = random_market_and_orderings(3, 3, rng)
     stable = enumerate_stable_matchings(orderings, market)
     da = deferred_acceptance(orderings, market, "players")
     assert da in stable
@@ -196,7 +184,7 @@ def test_enumeration_trivial_market():
 
 def test_enumeration_size_guard():
     rng = np.random.default_rng(1)
-    market, orderings = random_instance(7, 7, rng)
+    market, orderings = random_market_and_orderings(7, 7, rng)
     with pytest.raises(CapacityError):
         enumerate_stable_matchings(orderings, market)
 
@@ -205,7 +193,7 @@ def test_enumeration_never_empty_and_matches_brute_force():
     rng = np.random.default_rng(2)
     for _ in range(40):
         n = int(rng.integers(2, 5))
-        market, orderings = random_instance(n, n, rng)
+        market, orderings = random_market_and_orderings(n, n, rng)
         stable = enumerate_stable_matchings(orderings, market)
         assert stable
         assert [m.assignment for m in stable] == brute_force_stable(orderings, market)
@@ -246,7 +234,7 @@ def test_optimal_never_worse_than_pessimal():
     rng = np.random.default_rng(3)
     for _ in range(30):
         n = int(rng.integers(2, 5))
-        market, orderings = random_instance(n, n, rng)
+        market, orderings = random_market_and_orderings(n, n, rng)
         opt, pess = optimal_pessimal(orderings, market)
         for p in range(n):
             assert (
@@ -260,7 +248,7 @@ def test_da_orientations_match_enumeration_extremes():
     for _ in range(60):
         n = int(rng.integers(1, 5))
         k = int(rng.integers(n, 6))
-        market, orderings = random_instance(n, k, rng)
+        market, orderings = random_market_and_orderings(n, k, rng)
         stable = enumerate_stable_matchings(orderings, market)
         opt, pess = optimal_pessimal(orderings, market)
         for p in range(n):
@@ -291,7 +279,7 @@ def test_blocked_sets_union_is_exactly_the_unstable_matchings():
     for _ in range(25):
         n = int(rng.integers(2, 4))
         k = int(rng.integers(n, 5))
-        market, orderings = random_instance(n, k, rng)
+        market, orderings = random_market_and_orderings(n, k, rng)
         unstable = {
             combo
             for combo in itertools.permutations(range(k), n)

@@ -148,7 +148,8 @@ def test_meta_rejects_explicit_restart_period():
 
 def test_single_epoch_equals_plain_run_with_drawn_period():
     # T=2 gives one epoch covering the whole horizon; after replaying the
-    # meta-learner's single draw, the base loop must match round for round.
+    # meta-learner's single draw, the base loop must match round for round,
+    # and its noise must come next from the same generator.
     market, timeline = single_player_setup(2)
     meta = run_rcb_meta(SimulationConfig(2, seed=5), market, timeline)
 
@@ -157,12 +158,13 @@ def test_single_epoch_equals_plain_run_with_drawn_period():
     probs = np.full(2, (1 - gamma) / 2 + gamma / 2)
     chosen = int(rng.choice(2, p=probs / probs.sum()))
     period = (1, 2)[chosen]
-    plain = run_rcb(SimulationConfig(2, restart_period=period, seed=5), market, timeline, rng=rng)
+    plain = run_rcb(SimulationConfig(2, restart_period=period, seed=5), market, timeline)
 
     assert meta.chosen_h == [period, period]
     assert np.array_equal(meta.matchings, plain.matchings)
-    assert np.array_equal(meta.rewards, plain.rewards)
     assert meta.restart_flags == plain.restart_flags
+    expected = meta.true_means + rng.standard_normal((2, 1))
+    assert meta.rewards.tobytes() == expected.tobytes()
 
 
 def test_epoch_bookkeeping_consistent():
