@@ -11,13 +11,13 @@ import csv
 import functools
 import statistics
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
+from .config import ExperimentConfig, check_mode, echo_config, parse_config, resolve_instance
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
 from .environment import MeanRewardTimeline
@@ -168,23 +168,26 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
-    seeds = config.seeds if args.seed is None else _int_list(args.seed, "--seed", minimum=0)
-    mode = args.mode or config.mode
+    # Overrides replace config fields, so the echo and trace headers show what ran.
+    if args.seed is not None:
+        config = replace(config, seeds=tuple(_int_list(args.seed, "--seed", minimum=0)))
+    if args.mode is not None:
+        config = replace(config, mode=args.mode)
+        check_mode(config.mode, config.horizon, config.restart_period, f"--mode {args.mode}")
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _print_echo(config)
     metadata = echo_config(config)
     market, timeline = resolve_instance(config)
-    runner = run_rcb_meta if mode == "meta" else run_rcb
-    for seed in seeds:
+    runner = run_rcb_meta if config.mode == "meta" else run_rcb
+    for seed in config.seeds:
         trace = runner(_sim_config(config, timeline, seed), market, timeline)
-        trace_path = out_dir / f"trace_{mode}_seed{seed}.csv"
+        trace_path = out_dir / f"trace_{config.mode}_seed{seed}.csv"
         report = write_trace_csv(trace, trace_path, extra_metadata=metadata)
-        if mode == "meta":
+        if config.mode == "meta":
             write_epoch_summary_csv(trace, out_dir / f"epochs_seed{seed}.csv")
-        final = report.final()
         print(f"seed {seed}: wrote {trace_path} "
-              f"(max-player {trace.baseline} regret {final.max():.4f})")
+              f"(max-player {trace.baseline} regret {report.final().max():.4f})")
     return 0
 
 

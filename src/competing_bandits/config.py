@@ -237,6 +237,17 @@ def _parse_float(section, key, value):
         raise ConfigError(f"[{section.name}] {key}: expected a number, got {value!r}")
 
 
+def check_mode(mode: str, horizon: int, restart_period: Optional[int], source: str = "") -> None:
+    """Meta mode tunes the restart period itself and needs T >= 2; errors
+    name ``source`` (the flag that set the mode) or the [experiment] key."""
+    if mode == "meta" and restart_period is not None:
+        raise ConfigError(f"{source or '[experiment] restart_period'}: meta mode tunes the "
+                          f"restart_period itself; it must be 'auto', got {restart_period}")
+    if mode == "meta" and horizon < 2:
+        raise ConfigError(f"{source or '[experiment] horizon'}: meta mode needs a horizon "
+                          f"of at least 2, got {horizon}")
+
+
 def parse_config(path) -> ExperimentConfig:
     """Read and validate an experiment config file.
 
@@ -274,10 +285,7 @@ def parse_config(path) -> ExperimentConfig:
         restart_period = _parse_int(exp, "restart_period", raw_period)
         if restart_period < 1:
             raise ConfigError("[experiment] restart_period: must be at least 1 or 'auto'")
-    if mode == "meta" and restart_period is not None:
-        raise ConfigError("[experiment] restart_period: meta mode tunes it itself; must be 'auto'")
-    if mode == "meta" and horizon < 2:
-        raise ConfigError("[experiment] horizon: meta mode needs at least 2")
+    check_mode(mode, horizon, restart_period)
     try:
         seeds = tuple(int(s) for s in exp.get("seeds", "0").replace(",", " ").split())
     except ValueError:

@@ -264,6 +264,11 @@ class _Run:
         segments, segment_means = self.traces[0].segments, self.segment_means
         seg_idx = tau = 0
         block = block_index[-1] if block_index else 0
+        # After a restart every UCB value is +inf, so the stable ranking is
+        # ascending arm index. DA depends only on the rankings (the utilities
+        # are fixed), so a seed whose rankings repeat keeps last round's arms.
+        identity = [list(range(k))] * width
+        last_rankings, last_arms = [None] * len(seed_rows), [None] * len(seed_rows)
         for t in range(start, end + 1):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
@@ -274,9 +279,16 @@ class _Run:
                 sums.fill(0.0)
                 tau = 0
             tau += 1
-            rankings = ucb_ranking(ucb_values(counts, sums, tau)).tolist()
-            cells = offsets + [arm for lo in seed_rows
-                               for arm in player_proposing_da(rankings[lo:lo + n], utilities)]
+            rankings = identity if restart else ucb_ranking(ucb_values(counts, sums, tau)).tolist()
+            changed = False
+            for s, lo in enumerate(seed_rows):
+                ranks = rankings[lo:lo + n]
+                if ranks != last_rankings[s]:
+                    arms = player_proposing_da(ranks, utilities)
+                    changed = changed or arms != last_arms[s]
+                    last_rankings[s], last_arms[s] = ranks, arms
+            if changed:
+                cells = offsets + list(chain.from_iterable(last_arms))
             row = rewards[t - 1]
             row += segment_means[seg_idx].take(cells)
             flat_counts[cells] += 1
@@ -309,19 +321,15 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
 
 def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
     """Resolved run parameters embedded in every exported artifact."""
-    meta = [
+    return [
         ("horizon", str(trace.horizon)),
         ("restart_period", str(trace.restart_period)),
         ("seed", str(trace.seed)),
         ("noise", trace.noise),
         ("baseline", trace.baseline),
         ("n_players", str(trace.n_players)),
+        ("mode", "rcb" if trace.chosen_h is None else "meta"),
     ]
-    if trace.chosen_h is not None:
-        meta.append(("mode", "meta"))
-    else:
-        meta.append(("mode", "rcb"))
-    return meta
 
 
 def write_trace_csv(trace: SimulationTrace, path,

@@ -28,7 +28,7 @@ def ucb_values(pull_counts: np.ndarray, reward_sums: np.ndarray, tau: int) -> np
     counts = np.maximum(pull_counts, 1)  # unexplored entries are overwritten below
     values = reward_sums / counts
     values += np.sqrt(1.5 * log_tau / counts)
-    values[pull_counts == 0] = math.inf
+    np.putmask(values, pull_counts == 0, math.inf)
     return values
 
 

@@ -453,6 +453,55 @@ def test_cli_run_meta_writes_epoch_summary(tmp_path):
     assert (out_dir / "epochs_seed3.csv").exists()
 
 
+SMALL_GENERATOR_CONFIG = """
+[experiment]
+version = 1
+horizon = 60
+restart_period = 10
+
+[generator]
+seed = 1
+n_players = 2
+n_arms = 2
+delta = 0.1
+"""
+
+
+def header(path):
+    return [line.rstrip("\n") for line in path.open() if line.startswith("#")]
+
+
+def test_cli_run_mode_override_is_validated_naming_the_flag(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_GENERATOR_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--mode", "meta"]) == 1
+    err = capsys.readouterr().err
+    assert "--mode meta" in err and "restart_period" in err
+    assert not out_dir.exists()
+
+
+def test_cli_run_mode_override_is_echoed(tmp_path, capsys):
+    text = SMALL_GENERATOR_CONFIG.replace("restart_period = 10", "restart_period = auto")
+    path = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--mode", "meta"]) == 0
+    assert "  mode = meta" in capsys.readouterr().out
+    lines = header(out_dir / "trace_meta_seed0.csv")
+    assert "# mode = meta" in lines
+    assert "# mode = rcb" not in lines
+
+
+def test_cli_run_seed_override_is_echoed(tmp_path, capsys):
+    path = write_config(tmp_path, SMALL_GENERATOR_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out_dir), "--seed", "5"]) == 0
+    assert "  seeds = 5" in capsys.readouterr().out
+    lines = header(out_dir / "trace_rcb_seed5.csv")
+    assert "# seed = 5" in lines
+    assert "# seeds = 5" in lines
+    assert "# seeds = 0" not in lines
+
+
 def test_cli_sweep_writes_summary(tmp_path, capsys):
     path = write_config(tmp_path, EXPLICIT_CONFIG)
     out_dir = tmp_path / "out"

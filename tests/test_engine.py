@@ -26,6 +26,7 @@ from competing_bandits import (
     run_rcb_seeds,
     write_trace_csv,
 )
+from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS, _true_means
 from trace_oracle import write_trace_csv_rows
@@ -159,6 +160,31 @@ def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
         assert blocking_pairs(Matching(m), orderings, market) == []
         # The loop's clearing is the reference DA on the replayed orderings.
         assert deferred_acceptance(orderings, market).assignment == tuple(m)
+
+
+@pytest.mark.parametrize("period", [1, 50, 200])
+def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings, period):
+    """Restart rounds rank arms by index and a seed whose rankings repeat
+    keeps last round's arms; every round of every seed still equals the
+    reference DA on the replayed orderings, and DA is skipped on some
+    rounds."""
+    market, timeline = generate_instance(
+        GeneratorSpec(seed=3, n_players=3, n_arms=4, delta=0.25, n_changes=0), 200)
+    calls = []
+    da = engine.player_proposing_da
+
+    def counted(rankings, utilities):
+        calls.append(1)
+        return da(rankings, utilities)
+
+    monkeypatch.setattr(engine, "player_proposing_da", counted)
+    seeds = [0, 1, 2, 3]
+    traces = run_rcb_seeds(SimulationConfig(200, restart_period=period), market, timeline, seeds)
+    assert len(calls) < 200 * len(seeds)
+    for trace in traces:
+        rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
+        for m, orderings in rounds:
+            assert deferred_acceptance(orderings, market).assignment == tuple(m)
 
 
 def test_same_seed_gives_identical_traces():

@@ -214,6 +214,16 @@ def test_ranking_is_permutation_with_unexplored_arms_first(rows, tau):
         assert ranked[:len(unexplored)] == unexplored
 
 
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(1, 60))
+def test_fresh_rows_rank_in_index_order(n_rows, n_arms, tau):
+    """After a restart every arm is unexplored, so every row ranks as the
+    identity; the engine uses that ranking on restart rounds without
+    computing it."""
+    zeros = np.zeros((n_rows, n_arms))
+    ranks = ucb_ranking(ucb_values(zeros, zeros, tau)).tolist()
+    assert ranks == [list(range(n_arms))] * n_rows
+
+
 @given(st.integers(1, 4), st.integers(1, 6), st.data())
 def test_ucb_state_matches_array_row(n_players, n_arms, data):
     """Per-player states and the (N, K) arrays the engine keeps, fed the same
