@@ -61,13 +61,20 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
     period); T and L require a [generator] config."""
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
-    # The instance depends on (horizon, n_changes) only: resolve each once.
+    # The instance depends on (horizon, n_changes) only: resolve each once,
+    # and every point before the first run, so a bad one fails early.
     resolve = functools.cache(functools.partial(resolve_instance, config))
-    rows = []
+    points = []
     for value in grid_values:
-        market, timeline = resolve(value if grid_key == "T" else None,
-                                   value if grid_key == "L" else None)
-        sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
+        try:
+            market, timeline = resolve(value if grid_key == "T" else None,
+                                       value if grid_key == "L" else None)
+            sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
+            points.append((value, market, timeline, sim))
+        except InputError as exc:
+            raise type(exc)(f"--grid {grid_key}={value}: {exc}") from None
+    rows = []
+    for value, market, timeline, sim in points:
         traces = run_rcb_seeds(sim, market, timeline, config.seeds)
         finals = [float(regret_report(trace, "pessimal").final().max()) for trace in traces]
         period = traces[0].restart_period
@@ -196,12 +203,13 @@ def _cmd_sweep(args) -> int:
     grid_key, eq, raw = args.grid.partition("=")
     if not eq:
         raise InputError("--grid must look like KEY=v1,v2,... with integer values")
-    grid_values = _int_list(raw, "--grid")
-    rows = run_sweep(config, grid_key.strip(), grid_values)
+    grid_key = grid_key.strip()
+    grid_values = _int_list(raw, f"--grid {grid_key}", minimum=0 if grid_key == "L" else 1)
+    rows = run_sweep(config, grid_key, grid_values)
     out_dir = Path(args.out or config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"sweep_{grid_key.strip()}.csv"
-    write_sweep_csv(rows, path, grid_key.strip(), config)
+    path = out_dir / f"sweep_{grid_key}.csv"
+    write_sweep_csv(rows, path, grid_key, config)
     print(f"wrote {path}")
     for row in rows:
         print(f"  {grid_key}={row.grid_value}: mean_regret={row.mean_regret:.4f} "

@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from .environment import (NOISE_FAMILIES, MeanRewardTimeline, draw_noise,  # noqa: F401
                           sample_reward, stable_benchmarks, total_changes)
 from .errors import InputError
-from .learner import ucb_ranking, ucb_values
 from .market import (MarketInstance, Matching, deferred_acceptance,  # noqa: F401
                      player_proposing_da)
 
@@ -241,6 +240,7 @@ class _Run:
         # Each segment's (N, K) means, flat and repeated once per seed.
         self.segment_means = [np.tile(np.ravel(means), len(seeds)) for _, _, means in segments]
 
+    @np.errstate(divide="ignore")  # the UCB bonus of an unexplored arm is 1 / 0
     def play(self, start: int, end: int, period: int) -> None:
         """Play rounds ``start`` to ``end`` inclusive for every seed,
         restarting every learner when ``(t - start) % period == 0``, so at
@@ -255,31 +255,39 @@ class _Run:
         rows = rewards[start - 1:end]
         for lo, rng in zip(seed_rows, self.rngs):
             rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
-        # Learner state: (S * N, K) pull counts and reward sums, row s * N + i
-        # for player i of seed s, also viewed flat with cell offsets[row] + a,
-        # and the block round count tau shared by all (restarts are synchronized).
-        counts, sums = np.zeros((width, k)), np.zeros((width, k))
-        flat_counts, flat_sums = counts.reshape(-1), sums.reshape(-1)
+        # Learner state: (S * N, K) pull counts, reward sums and negated means,
+        # row s * N + i for player i of seed s, also viewed flat with cell
+        # offsets[row] + a, and the block round count tau shared by all
+        # (restarts are synchronized). A round changes only the matched cells.
+        counts, sums, neg_means = (np.zeros((width, k)) for _ in range(3))
+        flat_counts, flat_sums, flat_neg = counts.ravel(), sums.ravel(), neg_means.ravel()
         offsets = np.arange(width) * k
         segments, segment_means = self.traces[0].segments, self.segment_means
         seg_idx = tau = 0
-        block = block_index[-1] if block_index else 0
+        flags = [1 if (t - start) % period == 0 else 0 for t in range(start, end + 1)]
+        restart_flags.extend(flags)
+        # One int object per block, shared by its rounds (ints past 256 are not cached).
+        blocks = count(block_index[-1] + 1 if block_index else 1)
+        block_index.extend(islice((b for b in blocks for _ in range(period)), end - start + 1))
         # After a restart every UCB value is +inf, so the stable ranking is
         # ascending arm index. DA depends only on the rankings (the utilities
         # are fixed), so a seed whose rankings repeat keeps last round's arms.
         identity = [list(range(k))] * width
         last_rankings, last_arms = [None] * len(seed_rows), [None] * len(seed_rows)
-        for t in range(start, end + 1):
+        for t, restart in zip(range(start, end + 1), flags):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
-            restart = (t - start) % period == 0
             if restart:
-                block += 1
                 counts.fill(0)
                 sums.fill(0.0)
                 tau = 0
             tau += 1
-            rankings = identity if restart else ucb_ranking(ucb_values(counts, sums, tau)).tolist()
+            # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
+            # rounding is sign-symmetric; a count of 0 gives an infinite bonus
+            # over any finite mean an earlier block left, so -inf ties.
+            rankings = identity if restart else (
+                neg_means - np.sqrt(1.5 * math.log(tau) / counts)
+            ).argsort(axis=-1, kind="stable").tolist()
             changed = False
             for s, lo in enumerate(seed_rows):
                 ranks = rankings[lo:lo + n]
@@ -288,14 +296,12 @@ class _Run:
                     changed = changed or arms != last_arms[s]
                     last_rankings[s], last_arms[s] = ranks, arms
             if changed:
-                cells = offsets + list(chain.from_iterable(last_arms))
+                cells = np.fromiter(chain.from_iterable(last_arms), np.int64, width) + offsets
             row = rewards[t - 1]
             row += segment_means[seg_idx].take(cells)
-            flat_counts[cells] += 1
-            flat_sums[cells] += row
+            c, total = flat_counts[cells] + 1, flat_sums[cells] + row
+            flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
             matchings[t - 1] = cells  # made arm indices after the loop
-            restart_flags.append(1 if restart else 0)
-            block_index.append(block)
         matchings[start - 1:end] -= offsets
 
 

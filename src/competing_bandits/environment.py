@@ -123,15 +123,8 @@ class MeanRewardTimeline:
 
     def segments(self) -> list[tuple[int, int, tuple[tuple[float, ...], ...]]]:
         """Maximal constant segments as (first round, last round, means)."""
-        out = []
-        for s, (start, means) in enumerate(zip(self._segment_starts, self._segment_means)):
-            end = (
-                self._segment_starts[s + 1] - 1
-                if s + 1 < len(self._segment_starts)
-                else self.horizon
-            )
-            out.append((start, end, means))
-        return out
+        ends = [start - 1 for start in self._segment_starts[1:]] + [self.horizon]
+        return list(zip(self._segment_starts, ends, self._segment_means))
 
 
 def means_at(timeline: MeanRewardTimeline, t: int) -> tuple[tuple[float, ...], ...]:

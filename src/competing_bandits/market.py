@@ -164,21 +164,24 @@ def player_proposing_da(
     validated. A rejected player proposes again at once; the outcome does
     not depend on the proposal order.
     """
-    next_choice = [0] * len(rankings)
+    next_choice = [0] * len(rankings)  # where a held player resumes if displaced
     holder = [-1] * len(arm_utilities)  # arm -> player currently held
-    for p in range(len(rankings)):
-        while p >= 0:
-            choice = next_choice[p]
-            next_choice[p] = choice + 1
-            arm = rankings[p][choice]
+    for p, ranks in enumerate(rankings):
+        choice = 0
+        while True:
+            arm = ranks[choice]
+            choice += 1
             occupant = holder[arm]
             if occupant < 0:
                 holder[arm] = p
+                next_choice[p] = choice
                 break
             utility = arm_utilities[arm]
             if utility[p] > utility[occupant]:
                 holder[arm] = p
-                p = occupant  # the displaced player proposes next
+                next_choice[p] = choice
+                # The displaced player proposes next, from where it stopped.
+                p, ranks, choice = occupant, rankings[occupant], next_choice[occupant]
     assignment = [-1] * len(rankings)
     for arm, p in enumerate(holder):
         if p >= 0:

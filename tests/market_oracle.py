@@ -1,9 +1,10 @@
-"""Brute-force matching oracles from the regret analysis of centralized
-UCB + DA: valid partners, blocked sets of blocking triplets and covers.
+"""Matching oracles: brute-force ones from the regret analysis of
+centralized UCB + DA (valid partners, blocked sets of blocking triplets and
+covers) and a textbook deferred acceptance.
 
 No simulation path calls them; the market tests keep them as reference
-implementations. All are factorial in the market size and share the
-library's enumeration size limit.
+implementations. The brute-force ones are factorial in the market size and
+share the library's enumeration size limit.
 """
 
 from competing_bandits.market import (BlockingTriplet, _all_matchings, _check_orderings,
@@ -55,3 +56,29 @@ def all_triplets(market):
         for k2 in range(market.n_arms)
         if k != k2
     ]
+
+
+def player_proposing_da_reference(rankings, arm_utilities):
+    """Player-proposing deferred acceptance kept in its plain form: every
+    proposal reads and bumps the proposer's ``next_choice``. Same contract
+    as ``market.player_proposing_da``."""
+    next_choice = [0] * len(rankings)
+    holder = [-1] * len(arm_utilities)  # arm -> player currently held
+    for p in range(len(rankings)):
+        while p >= 0:
+            choice = next_choice[p]
+            next_choice[p] = choice + 1
+            arm = rankings[p][choice]
+            occupant = holder[arm]
+            if occupant < 0:
+                holder[arm] = p
+                break
+            utility = arm_utilities[arm]
+            if utility[p] > utility[occupant]:
+                holder[arm] = p
+                p = occupant  # the displaced player proposes next
+    assignment = [-1] * len(rankings)
+    for arm, p in enumerate(holder):
+        if p >= 0:
+            assignment[p] = arm
+    return assignment

@@ -372,6 +372,38 @@ def test_t_sweep_changes_horizon(tmp_path):
     assert all(np.isfinite(r.mean_regret) for r in rows)
 
 
+@pytest.mark.parametrize("grid, named", [
+    ("H=10,0", "--grid H"),
+    ("T=60,1", "--grid T=1"),
+    ("T=60,0", "--grid T"),
+    ("L=1,-1", "--grid L"),
+    ("L=1,60", "--grid L=60"),
+])
+def test_cli_sweep_rejects_bad_grid_value_before_running(tmp_path, capsys, monkeypatch,
+                                                         grid, named):
+    """A grid value that cannot run fails before the first point runs,
+    naming the grid key and the value, and creates no output directory."""
+    path = write_config(tmp_path, """
+[experiment]
+version = 1
+horizon = 50
+
+[generator]
+seed = 3
+n_players = 2
+n_arms = 3
+delta = 0.1
+changes = 1
+""")
+    runs = []
+    monkeypatch.setattr(cli, "run_rcb_seeds", lambda *args: runs.append(args))
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out_dir)]) == 1
+    assert named in capsys.readouterr().err
+    assert runs == []
+    assert not out_dir.exists()
+
+
 def test_sweep_rejects_unknown_grid_key(tmp_path):
     config = parse_config(write_config(tmp_path, EXPLICIT_CONFIG))
     with pytest.raises(Exception):

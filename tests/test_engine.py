@@ -2,11 +2,12 @@
 trace export."""
 
 import string
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from competing_bandits import (
@@ -29,6 +30,7 @@ from competing_bandits import (
 from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS, _true_means
+from competing_bandits.environment import NOISE_FAMILIES
 from trace_oracle import write_trace_csv_rows
 
 
@@ -162,14 +164,36 @@ def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
         assert deferred_acceptance(orderings, market).assignment == tuple(m)
 
 
-@pytest.mark.parametrize("period", [1, 50, 200])
-def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings, period):
-    """Restart rounds rank arms by index and a seed whose rankings repeat
-    keeps last round's arms; every round of every seed still equals the
-    reference DA on the replayed orderings, and DA is skipped on some
-    rounds."""
-    market, timeline = generate_instance(
-        GeneratorSpec(seed=3, n_players=3, n_arms=4, delta=0.25, n_changes=0), 200)
+# The fixture is a pure replay function, safe to share across examples.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_clearing_shortcuts_match_reference_da(submitted_orderings, data):
+    """The loop ranks by negated running means updated at the matched cells
+    only, uses the identity ranking on restart rounds and skips DA for a
+    seed whose rankings repeat; every round of every seed still equals the
+    reference DA on the orderings a reference ``UcbState`` replay submits.
+    Neither run_rcb_seeds nor run_rcb_meta warns (a count of 0 divides by zero)
+    or leaves numpy's error state changed."""
+    n = data.draw(st.integers(1, 6), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    horizon = data.draw(st.integers(1, 150), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    if data.draw(st.booleans(), label="zero means"):
+        # Each player's lowest initial mean becomes -0.0: with noise "none"
+        # its reward sums are exact zeros and its running mean is -0.0.
+        means = [[-0.0 if v == min(row) else v for v in row] for row in timeline.initial_means]
+        try:
+            timeline = MeanRewardTimeline(horizon, means, timeline.events, timeline.mu_bar)
+        except InputError:
+            assume(False)  # an event set another mean of that row to 0.0
+    period = data.draw(st.sampled_from([1, 2, 7, None, horizon + 1]), label="H")
+    config = SimulationConfig(horizon, restart_period=period,
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), label="seeds")
     calls = []
     da = engine.player_proposing_da
 
@@ -177,10 +201,18 @@ def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings,
         calls.append(1)
         return da(rankings, utilities)
 
-    monkeypatch.setattr(engine, "player_proposing_da", counted)
-    seeds = [0, 1, 2, 3]
-    traces = run_rcb_seeds(SimulationConfig(200, restart_period=period), market, timeline, seeds)
-    assert len(calls) < 200 * len(seeds)
+    error_state = np.geterr()
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
+        patch.setattr(engine, "player_proposing_da", counted)
+        warnings.simplefilter("error")
+        traces = run_rcb_seeds(config, market, timeline, seeds)
+        da_calls = len(calls)
+        if horizon > 1:
+            run_rcb_meta(replace(config, restart_period=None), market, timeline)
+    assert np.geterr() == error_state
+    if period == 1:
+        # Every round restarts, so every seed submits the identity ranking.
+        assert da_calls == len(seeds)
     for trace in traces:
         rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
         for m, orderings in rounds:

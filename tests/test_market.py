@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competing_bandits import (
     BlockingTriplet,
@@ -18,7 +20,9 @@ from competing_bandits import (
     optimal_pessimal,
 )
 from competing_bandits.cli import random_market_and_orderings
-from market_oracle import all_triplets, blocked_set, is_cover, valid_partners
+from competing_bandits.market import player_proposing_da
+from market_oracle import (all_triplets, blocked_set, is_cover, player_proposing_da_reference,
+                           valid_partners)
 
 
 def ordering(owner, *ranks):
@@ -145,6 +149,51 @@ def test_da_output_has_no_blocking_pairs():
     market, orderings = conflict_2x2()
     m = deferred_acceptance(orderings, market)
     assert blocking_pairs(m, orderings, market) == []
+
+
+class LoggedRanking(list):
+    """A ranking that logs each entry read: DA reads one per proposal."""
+
+    def __init__(self, owner, arms, log):
+        super().__init__(arms)
+        self.owner, self.log = owner, log
+
+    def __getitem__(self, position):
+        self.log.append((self.owner, position))
+        return super().__getitem__(position)
+
+
+def logged_da(da, rankings, utilities):
+    """``da``'s result and the (proposer, position) of every proposal."""
+    log = []
+    result = da([LoggedRanking(p, ranks, log) for p, ranks in enumerate(rankings)], utilities)
+    return result, log
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_da_matches_reference_da(data):
+    """The DA the loop calls makes the plain reference's proposals, in the
+    same order, and returns its result, on random strict markets with
+    N <= K <= 25 in both call shapes: player-proposing with float
+    utilities, and the arm-proposing shape of ``deferred_acceptance`` (dict
+    utilities, K - N indifferent dummy players)."""
+    n = data.draw(st.integers(1, 25), label="N")
+    k = data.draw(st.integers(n, 25), label="K")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    rankings = [rng.permutation(k).tolist() for _ in range(n)]
+    utilities = [rng.permutation(n).astype(float).tolist() for _ in range(k)]
+    arm_rankings = [sorted(range(n), key=lambda p: -u[p]) + list(range(n, k)) for u in utilities]
+    player_utilities = [{arm: -pos for pos, arm in enumerate(ranks)}
+                        for ranks in rankings] + [[0] * k] * (k - n)
+    for shape in ((rankings, utilities), (arm_rankings, player_utilities)):
+        assert logged_da(player_proposing_da, *shape) == logged_da(
+            player_proposing_da_reference, *shape)
+    holders = player_proposing_da(arm_rankings, player_utilities)
+    market = MarketInstance(n, k, tuple(map(tuple, utilities)))
+    orderings = [RankOrdering(i, tuple(ranks)) for i, ranks in enumerate(rankings)]
+    assert deferred_acceptance(orderings, market, "arms").assignment == tuple(
+        holders.index(p) for p in range(n))
 
 
 def test_blocking_pair_reported_in_swapped_conflict():
