@@ -164,11 +164,36 @@ def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
         assert deferred_acceptance(orderings, market).assignment == tuple(m)
 
 
+@pytest.mark.parametrize("period", [1, 50, 200])
+def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings, period):
+    """Restart rounds rank arms by index and a seed whose rankings repeat
+    keeps last round's arms; every round of every seed still equals the
+    reference DA on the replayed orderings, and DA is skipped on some
+    rounds."""
+    market, timeline = generate_instance(
+        GeneratorSpec(seed=3, n_players=3, n_arms=4, delta=0.25, n_changes=0), 200)
+    calls = []
+    da = engine.player_proposing_da
+
+    def counted(rankings, utilities):
+        calls.append(1)
+        return da(rankings, utilities)
+
+    monkeypatch.setattr(engine, "player_proposing_da", counted)
+    seeds = [0, 1, 2, 3]
+    traces = run_rcb_seeds(SimulationConfig(200, restart_period=period), market, timeline, seeds)
+    assert len(calls) < 200 * len(seeds)
+    for trace in traces:
+        rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
+        for m, orderings in rounds:
+            assert deferred_acceptance(orderings, market).assignment == tuple(m)
+
+
 # The fixture is a pure replay function, safe to share across examples.
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_clearing_shortcuts_match_reference_da(submitted_orderings, data):
+def test_clearing_shortcuts_match_reference_da_on_generated_instances(submitted_orderings, data):
     """The loop ranks by negated running means updated at the matched cells
     only, uses the identity ranking on restart rounds and skips DA for a
     seed whose rankings repeat; every round of every seed still equals the
