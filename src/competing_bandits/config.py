@@ -10,8 +10,10 @@ reproducible from the echoed block alone.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +48,10 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.seed < 0:
             raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
+        for name, value in (("delta", self.delta), ("mu_bar", self.mu_bar),
+                            *(("change_fractions", f) for f in self.change_fractions or ())):
+            if not math.isfinite(value):
+                raise ConfigError(f"generator: {name} must be finite, got {value}")
         if self.n_players < 1:
             raise ConfigError("generator: n_players must be positive")
         if self.n_arms < self.n_players:
@@ -208,33 +214,129 @@ def _rows(text: str) -> list[str]:
     return [row.strip() for row in text.replace(";", "\n").splitlines() if row.strip()]
 
 
-def _parse_matrix(text: str, section: str, key: str) -> list[list[float]]:
-    rows = []
-    for line in _rows(text):
+def _number(text: str, kind: type = float, minimum: Optional[int] = None):
+    """One integer (``kind=int``) or finite float, at least ``minimum``."""
+    try:
+        value = kind(text)
+        finite = kind is int or math.isfinite(value)
+    except ValueError:
+        finite = False
+    if not finite:
+        raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
+                         f"got {text!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"must be at least {minimum}, got {value}")
+    return value
+
+
+def _numbers(text: str, kind: type = float, minimum: Optional[int] = None) -> tuple:
+    """Numbers separated by commas or whitespace."""
+    return tuple(_number(v, kind, minimum) for v in text.replace(",", " ").split())
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    if not (seeds := _numbers(text, int, minimum=0)):
+        raise ValueError("need at least one seed")
+    return seeds
+
+
+def _one_of(options: Sequence, value):
+    if value not in options:
+        raise ValueError(f"must be one of {options}, got {value!r}")
+    return value
+
+
+def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(tuple(_number(v) for v in row.split()) for row in _rows(text))
+
+
+def _events(text: str) -> tuple[ChangeEvent, ...]:
+    events = []
+    for row in _rows(text):
+        parts = row.split()
+        if len(parts) != 4:
+            raise ValueError(f"expected 'time player arm new_mean', got {row!r}")
+        events.append(ChangeEvent(*(_number(p, int) for p in parts[:3]), _number(parts[3])))
+    return tuple(events)
+
+
+def _joined(fmt: Callable[[Any], str], sep: str) -> Callable[[Any], str]:
+    return lambda values: sep.join(fmt(v) for v in values)
+
+
+class _Key(NamedTuple):
+    """One config key: the field it fills, the parser of its stripped text
+    (its ValueError is reported under the key), its default text
+    (``_REQUIRED``, or None if it has none) and its echo formatter."""
+
+    key: str
+    field: str
+    parse: Callable[[str], Any]
+    default: Any
+    echo: Callable[[Any], str] = str
+
+
+_REQUIRED = object()
+_matrix_text = _joined(_joined(repr, " "), "; ")
+
+# The config grammar: the keys of each section, in echo order. [experiment]
+# fills ExperimentConfig; the others fill the object of the same name.
+_GRAMMAR = {
+    "experiment": (
+        _Key("version", "version", lambda t: _one_of([CONFIG_VERSION], _number(t, int)), _REQUIRED),
+        _Key("mode", "mode", partial(_one_of, MODES), "rcb"),
+        _Key("horizon", "horizon", partial(_number, kind=int, minimum=1), _REQUIRED),
+        _Key("restart_period", "restart_period",
+             lambda t: None if t == "auto" else _number(t, int, minimum=1), "auto"),
+        _Key("seeds", "seeds", _seeds, "0", _joined(str, ",")),
+        _Key("baseline", "baseline", partial(_one_of, BASELINES), "pessimal"),
+        _Key("noise", "noise", partial(_one_of, NOISE_FAMILIES), "gaussian"),
+        _Key("out", "out_dir", str, "."),
+    ),
+    "generator": (
+        _Key("seed", "seed", partial(_number, kind=int, minimum=0), "0"),
+        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
+        _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
+        _Key("delta", "delta", _number, _REQUIRED, repr),
+        _Key("changes", "n_changes", partial(_number, kind=int), "0"),
+        _Key("mu_bar", "mu_bar", _number, "1.0", repr),
+        _Key("change_fractions", "change_fractions", _numbers, None, _joined(repr, ",")),
+    ),
+    "market": (
+        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
+        _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
+        _Key("arm_utilities", "arm_utilities", _matrix, _REQUIRED, _matrix_text),
+    ),
+    "timeline": (
+        _Key("mu_bar", "mu_bar", _number, "1.0", repr),
+        _Key("initial_means", "initial_means", _matrix, _REQUIRED, _matrix_text),
+        _Key("events", "events", _events, "",
+             _joined(lambda e: f"{e.time} {e.player} {e.arm} {e.new_mean!r}", "; ")),
+    ),
+}
+
+
+def _read_section(parser: configparser.ConfigParser, name: str) -> dict[str, Any]:
+    """The fields of section ``name``, parsed through its key table. An
+    unknown section or key, a missing required key or a bad value raises
+    ConfigError naming ``[name] key``."""
+    if name not in _GRAMMAR:
+        raise ConfigError(f"[{name}]: unknown section; expected one of {', '.join(_GRAMMAR)}")
+    section, keys = parser[name], _GRAMMAR[name]
+    for key in section:
+        if key not in {row.key for row in keys}:
+            raise ConfigError(f"[{name}] {key}: unknown key; expected one of "
+                              + ", ".join(row.key for row in keys))
+    fields = {}
+    for row in keys:
         try:
-            rows.append([float(v) for v in line.split()])
-        except ValueError:
-            raise ConfigError(f"[{section}] {key}: non-numeric entry in row {line!r}")
-    if not rows:
-        raise ConfigError(f"[{section}] {key}: empty matrix")
-    return rows
-
-
-def _parse_int(section, key, value, minimum=None):
-    try:
-        number = int(value)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key}: expected an integer, got {value!r}")
-    if minimum is not None and number < minimum:
-        raise ConfigError(f"[{section.name}] {key}: must be at least {minimum}, got {number}")
-    return number
-
-
-def _parse_float(section, key, value):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key}: expected a number, got {value!r}")
+            text = section.get(row.key, row.default)  # raises on a bad '%' interpolation
+            if text is _REQUIRED:
+                raise ValueError("required key is missing")
+            fields[row.field] = None if text is None else row.parse(text.strip())
+        except (ValueError, configparser.Error) as exc:
+            raise ConfigError(f"[{name}] {row.key}: {exc}") from None
+    return fields
 
 
 def check_mode(mode: str, horizon: int, restart_period: Optional[int], source: str = "") -> None:
@@ -263,170 +365,43 @@ def parse_config(path) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}")
 
-    if "experiment" not in parser:
+    sections = {name: _read_section(parser, name) for name in parser.sections()}
+    if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
-    if "version" not in exp:
-        raise ConfigError("[experiment] version: required key is missing")
-    version = _parse_int(exp, "version", exp["version"])
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"[experiment] version: unsupported version {version}")
-    if "horizon" not in exp:
-        raise ConfigError("[experiment] horizon: required key is missing")
-    horizon = _parse_int(exp, "horizon", exp["horizon"], minimum=1)
-
-    mode = exp.get("mode", "rcb").strip()
-    if mode not in MODES:
-        raise ConfigError(f"[experiment] mode: must be one of {MODES}, got {mode!r}")
-    raw_period = exp.get("restart_period", "auto").strip()
-    if raw_period == "auto":
-        restart_period = None
-    else:
-        restart_period = _parse_int(exp, "restart_period", raw_period)
-        if restart_period < 1:
-            raise ConfigError("[experiment] restart_period: must be at least 1 or 'auto'")
-    check_mode(mode, horizon, restart_period)
+    fields = sections.pop("experiment")
+    check_mode(fields["mode"], fields["horizon"], fields["restart_period"])
+    if "generator" in sections:
+        if len(sections) > 1:
+            raise ConfigError("config must use either [market]+[timeline] or [generator], not both")
+        return ExperimentConfig(**fields, generator=GeneratorSpec(**sections["generator"]))
+    for name in ("market", "timeline"):
+        if name not in sections:
+            raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
+    if sections["market"]["n_arms"] < sections["market"]["n_players"]:
+        raise ConfigError("market requires K >= N")
     try:
-        seeds = tuple(int(s) for s in exp.get("seeds", "0").replace(",", " ").split())
-    except ValueError:
-        raise ConfigError("[experiment] seeds: expected comma-separated integers")
-    if not seeds or min(seeds) < 0:
-        raise ConfigError("[experiment] seeds: need at least one seed, none negative")
-    baseline = exp.get("baseline", "pessimal").strip()
-    if baseline not in BASELINES:
-        raise ConfigError(f"[experiment] baseline: must be one of {BASELINES}")
-    noise = exp.get("noise", "gaussian").strip()
-    if noise not in NOISE_FAMILIES:
-        raise ConfigError(f"[experiment] noise: must be one of {NOISE_FAMILIES}")
-    out_dir = exp.get("out", ".").strip()
-
-    has_explicit = "market" in parser or "timeline" in parser
-    has_generator = "generator" in parser
-    if has_explicit and has_generator:
-        raise ConfigError("config must use either [market]+[timeline] or [generator], not both")
-    if not has_explicit and not has_generator:
-        raise ConfigError("config needs [market]+[timeline] sections or a [generator] section")
-
-    market = timeline = generator = None
-    if has_generator:
-        gen = parser["generator"]
-        for key in ("n_players", "n_arms", "delta"):
-            if key not in gen:
-                raise ConfigError(f"[generator] {key}: required key is missing")
-        fractions = None
-        if "change_fractions" in gen:
-            try:
-                fractions = tuple(
-                    float(v) for v in gen["change_fractions"].replace(",", " ").split()
-                )
-            except ValueError:
-                raise ConfigError("[generator] change_fractions: expected numbers")
-        generator = GeneratorSpec(
-            seed=_parse_int(gen, "seed", gen.get("seed", "0"), minimum=0),
-            n_players=_parse_int(gen, "n_players", gen["n_players"]),
-            n_arms=_parse_int(gen, "n_arms", gen["n_arms"]),
-            delta=_parse_float(gen, "delta", gen["delta"]),
-            n_changes=_parse_int(gen, "changes", gen.get("changes", "0")),
-            mu_bar=_parse_float(gen, "mu_bar", gen.get("mu_bar", "1.0")),
-            change_fractions=fractions,
-        )
-    else:
-        if "market" not in parser:
-            raise ConfigError("missing [market] section")
-        if "timeline" not in parser:
-            raise ConfigError("missing [timeline] section")
-        mkt = parser["market"]
-        for key in ("n_players", "n_arms", "arm_utilities"):
-            if key not in mkt:
-                raise ConfigError(f"[market] {key}: required key is missing")
-        n_players = _parse_int(mkt, "n_players", mkt["n_players"])
-        n_arms = _parse_int(mkt, "n_arms", mkt["n_arms"])
-        if n_arms < n_players:
-            raise ConfigError("market requires K >= N")
-        utilities = _parse_matrix(mkt["arm_utilities"], "market", "arm_utilities")
-        try:
-            market = MarketInstance(n_players, n_arms, tuple(tuple(r) for r in utilities))
-        except InputError as exc:
-            raise ConfigError(f"[market] arm_utilities: {exc}")
-
-        tl = parser["timeline"]
-        if "initial_means" not in tl:
-            raise ConfigError("[timeline] initial_means: required key is missing")
-        mu_bar = _parse_float(tl, "mu_bar", tl.get("mu_bar", "1.0"))
-        means = _parse_matrix(tl["initial_means"], "timeline", "initial_means")
-        events = []
-        if "events" in tl:
-            for line in _rows(tl["events"]):
-                parts = line.split()
-                if len(parts) != 4:
-                    raise ConfigError(
-                        f"[timeline] events: expected 'time player arm new_mean', got {line!r}"
-                    )
-                try:
-                    events.append(
-                        ChangeEvent(int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]))
-                    )
-                except ValueError:
-                    raise ConfigError(f"[timeline] events: non-numeric entry in {line!r}")
-        try:
-            timeline = MeanRewardTimeline(horizon, means, events, mu_bar)
-        except InputError as exc:
-            raise ConfigError(f"[timeline]: {exc}")
-        if timeline.n_players != n_players or timeline.n_arms != n_arms:
-            raise ConfigError("[timeline] initial_means shape disagrees with [market] sizes")
-
-    return ExperimentConfig(
-        version=version,
-        mode=mode,
-        horizon=horizon,
-        restart_period=restart_period,
-        seeds=seeds,
-        baseline=baseline,
-        noise=noise,
-        market=market,
-        timeline=timeline,
-        generator=generator,
-        out_dir=out_dir,
-    )
+        market = MarketInstance(**sections["market"])
+    except InputError as exc:
+        raise ConfigError(f"[market] arm_utilities: {exc}")
+    try:
+        timeline = MeanRewardTimeline(fields["horizon"], **sections["timeline"])
+    except InputError as exc:
+        raise ConfigError(f"[timeline]: {exc}")
+    if timeline.n_players != market.n_players or timeline.n_arms != market.n_arms:
+        raise ConfigError("[timeline] initial_means shape disagrees with [market] sizes")
+    return ExperimentConfig(**fields, market=market, timeline=timeline)
 
 
 def echo_config(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """Every resolved field (defaults included) as key/value pairs."""
-    pairs = [
-        ("version", str(config.version)),
-        ("mode", config.mode),
-        ("horizon", str(config.horizon)),
-        ("restart_period", "auto" if config.restart_period is None else str(config.restart_period)),
-        ("seeds", ",".join(str(s) for s in config.seeds)),
-        ("baseline", config.baseline),
-        ("noise", config.noise),
-        ("out", config.out_dir),
-    ]
-    if config.generator is not None:
-        g = config.generator
-        pairs += [
-            ("generator.seed", str(g.seed)),
-            ("generator.n_players", str(g.n_players)),
-            ("generator.n_arms", str(g.n_arms)),
-            ("generator.delta", repr(g.delta)),
-            ("generator.changes", str(g.n_changes)),
-            ("generator.mu_bar", repr(g.mu_bar)),
-        ]
-        if g.change_fractions is not None:
-            pairs.append(
-                ("generator.change_fractions", ",".join(repr(f) for f in g.change_fractions))
-            )
-    else:
-        pairs += [
-            ("market.n_players", str(config.market.n_players)),
-            ("market.n_arms", str(config.market.n_arms)),
-            ("market.arm_utilities",
-             "; ".join(" ".join(repr(v) for v in row) for row in config.market.arm_utilities)),
-            ("timeline.mu_bar", repr(config.timeline.mu_bar)),
-            ("timeline.initial_means",
-             "; ".join(" ".join(repr(v) for v in row) for row in config.timeline.initial_means)),
-            ("timeline.events",
-             "; ".join(f"{e.time} {e.player} {e.arm} {e.new_mean!r}"
-                       for e in config.timeline.events)),
-        ]
+    """Every resolved field (defaults included) as key/value pairs in grammar
+    order, [experiment] keys bare and the others as ``section.key``. A None
+    field echoes its key's default text, or nothing if the key has none."""
+    pairs = []
+    for name, keys in _GRAMMAR.items():
+        source = getattr(config, name, config)  # [experiment] keys are fields of config
+        for row in keys if source is not None else ():
+            value = getattr(source, row.field)
+            text = row.default if value is None else row.echo(value)
+            if text is not None:
+                pairs.append((row.key if source is config else f"{name}.{row.key}", text))
     return pairs

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Optional, Sequence
@@ -45,6 +46,15 @@ META_TRACE_COLUMNS = TRACE_COLUMNS + ("epoch_index", "chosen_H")
 _EXPORT_CHUNK_ROUNDS = 256
 
 
+def _check_integer(name: str, value) -> None:
+    """InputError naming ``name`` unless ``value`` is an integer (numpy
+    integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InputError(f"{name}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Knobs of a single simulation run.
@@ -60,6 +70,10 @@ class SimulationConfig:
     baseline: str = "pessimal"
 
     def __post_init__(self):
+        _check_integer("horizon", self.horizon)
+        _check_integer("seed", self.seed)
+        if self.restart_period is not None:
+            _check_integer("restart_period", self.restart_period)
         if self.horizon < 1:
             raise InputError("horizon must be at least 1")
         if self.restart_period is not None and self.restart_period < 1:
@@ -189,6 +203,8 @@ def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: Me
     """``run_rcb`` for every seed in ``seeds`` (not ``config.seed``), all
     advanced by one round loop. Trace i equals ``run_rcb(replace(config,
     seed=seeds[i]), market, timeline)`` bit for bit."""
+    for seed in seeds:
+        _check_integer("seeds", seed)
     if len(seeds) == 0 or min(seeds) < 0:
         raise InputError(f"seeds must name at least one seed, none negative, got {list(seeds)}")
     horizon = config.horizon

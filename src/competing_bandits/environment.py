@@ -54,8 +54,8 @@ class MeanRewardTimeline:
     ):
         if horizon < 1:
             raise InputError("horizon must be at least 1")
-        if mu_bar <= 0:
-            raise InputError("mu_bar must be positive")
+        if not 0 < mu_bar < math.inf:
+            raise InputError(f"mu_bar must be positive and finite, got {mu_bar}")
         means = tuple(tuple(float(v) for v in row) for row in initial_means)
         n = len(means)
         if n == 0:

@@ -268,3 +268,40 @@ def test_criterion_9_byte_identical_traces(tmp_path):
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1]
     report(9, "repeated runs write byte-identical trace CSVs (both modes)")
+
+
+# --- 10: the paper's rate, regret ~ sqrt(L_T * T) ---------------------------------------------
+
+# The theorem bounds each player's regret by O~(L_T^{1/2} T^{1/2}), so the
+# log-log slope of regret in T, and in L_T, is at most 1/2 up to the hidden
+# log factors. One log T factor adds 1 / ln T (about 0.11 at T = 10^4) to the
+# local slope; the rest of the margin covers the seed noise of a 3-point fit.
+# Fixed before the grids below were run. The paper gives no lower bound.
+RATE_EXPONENT = 0.5
+RATE_MARGIN = 0.2
+
+
+def test_criterion_10_regret_rate():
+    start = time.perf_counter()
+
+    def mean_regret(horizon, n_changes):
+        spec = GeneratorSpec(
+            seed=3, n_players=3, n_arms=3, delta=3.0, n_changes=n_changes, mu_bar=10.0,
+            change_fractions=tuple((i + 1) / (n_changes + 1) for i in range(n_changes)),
+        )
+        market, timeline = generate_instance(spec, horizon)
+        traces = run_rcb_seeds(SimulationConfig(horizon), market, timeline, range(N_SEEDS))
+        return mean_max_player_regret(traces)
+
+    def slope(xs, ys):
+        return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+    horizons, counts = (2_500, 10_000, 40_000), (2, 8, 32)
+    slope_t = slope(horizons, [mean_regret(t, 4) for t in horizons])
+    slope_l = slope(counts, [mean_regret(10_000, n) for n in counts])
+    elapsed = time.perf_counter() - start
+    assert slope_t <= RATE_EXPONENT + RATE_MARGIN
+    assert slope_l <= RATE_EXPONENT + RATE_MARGIN
+    assert elapsed < 60.0
+    report(10, f"log-log regret slopes {slope_t:.2f} in T (L=4) and {slope_l:.2f} in L "
+               f"(T=10^4), both <= {RATE_EXPONENT + RATE_MARGIN} ({elapsed:.1f}s)")

@@ -1,5 +1,6 @@
 """Config parsing, instance generation, sweeps, and the CLI surface."""
 
+import math
 import re
 import string
 
@@ -120,6 +121,7 @@ def test_parse_generator_config(tmp_path):
         ("version = 1", "version = 1\nmode = meta\nrestart_period = 10",
          "[experiment] restart_period"),
         ("horizon = 60", "horizon = 1\nmode = meta", "[experiment] horizon"),
+        ("version = 1", "version = 1\nout = results%", "[experiment] out"),
     ],
 )
 def test_parse_rejects_bad_experiment_section(tmp_path, old, new, fragment):
@@ -159,6 +161,38 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
     text = GENERATOR_CONFIG.replace("seed = 7", "seed = -3")
     with pytest.raises(ConfigError, match=r"\[generator\] seed"):
         parse_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("text, error", [
+    (EXPLICIT_CONFIG.replace("horizon = 60", "horizon = 60\nrestart_perod = 10"),
+     "[experiment] restart_perod: unknown key"),
+    (GENERATOR_CONFIG.replace("changes = 3", "chnges = 3"), "[generator] chnges: unknown key"),
+    (EXPLICIT_CONFIG.replace("n_players = 2", "n_player = 2"), "[market] n_player: unknown key"),
+    (EXPLICIT_CONFIG.replace("events =", "event ="), "[timeline] event: unknown key"),
+    (EXPLICIT_CONFIG + "\n[notes]\nauthor = me\n", "[notes]: unknown section"),
+    (GENERATOR_CONFIG.replace("delta = 0.1", "delta = nan"), "[generator] delta: expected a finite"),
+    (GENERATOR_CONFIG + "mu_bar = inf\n", "[generator] mu_bar: expected a finite"),
+    (GENERATOR_CONFIG + "change_fractions = 0.2, nan, 0.8\n",
+     "[generator] change_fractions: expected a finite"),
+    (EXPLICIT_CONFIG.replace("    2.0 1.0\n\n", "    inf 1.0\n\n"),
+     "[market] arm_utilities: expected a finite"),
+    (EXPLICIT_CONFIG.replace("0.8 0.3", "0.8 nan"), "[timeline] initial_means: expected a finite"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 nan"), "[timeline] events: expected a finite"),
+    (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = inf"),
+     "[timeline] mu_bar: expected a finite"),
+], ids=["experiment_key", "generator_key", "market_key", "timeline_key", "section",
+        "delta", "generator_mu_bar", "change_fractions", "arm_utilities", "initial_means",
+        "events", "timeline_mu_bar"])
+def test_validate_rejects_unknown_names_and_non_finite_numbers(tmp_path, capsys, text, error):
+    """A misspelt key, an extra section or a nan/inf number fails
+    validation, naming the section and key, instead of running with a
+    default or crashing later."""
+    path = write_config(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert error in str(err.value)
+    assert main(["validate", "--config", str(path)]) == 1
+    assert error in capsys.readouterr().err
 
 
 def ini_from_echo(pairs):
@@ -251,6 +285,19 @@ def test_echoed_explicit_config_parses_back(tmp_path, text):
 def test_generator_spec_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         GeneratorSpec(seed=-3, n_players=2, n_arms=2, delta=0.1, n_changes=0)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("delta", {"delta": math.nan}),
+    ("delta", {"delta": math.inf}),
+    ("mu_bar", {"mu_bar": math.nan}),
+    ("mu_bar", {"mu_bar": math.inf}),
+    ("change_fractions", {"n_changes": 2, "change_fractions": (0.5, math.nan)}),
+])
+def test_generator_spec_rejects_non_finite_numbers(field, values):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        GeneratorSpec(**{"seed": 0, "n_players": 2, "n_arms": 2, "delta": 0.1,
+                         "n_changes": 0, **values})
 
 
 def test_parse_rejects_infeasible_delta(tmp_path):

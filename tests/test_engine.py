@@ -100,6 +100,16 @@ def test_config_rejects_bad_values():
         SimulationConfig(5, noise="cauchy")
 
 
+@pytest.mark.parametrize("field, values", [
+    ("restart_period", {"restart_period": 2.5}),
+    ("seed", {"seed": 1.5}),
+    ("horizon", {"horizon": 4.0}),
+])
+def test_config_rejects_non_integer_fields(field, values):
+    with pytest.raises(InputError, match=f"{field}: expected an integer"):
+        SimulationConfig(**{"horizon": 4, **values})
+
+
 def test_run_rejects_horizon_mismatch():
     market, timeline = single_player_setup(10)
     with pytest.raises(InputError):
@@ -295,6 +305,14 @@ def test_batched_run_rejects_empty_seed_list():
         run_rcb_seeds(SimulationConfig(5), market, timeline, [])
     with pytest.raises(InputError, match="negative"):
         run_rcb_seeds(SimulationConfig(5), market, timeline, [0, -1])
+
+
+def test_batched_run_rejects_non_integer_seed():
+    market, timeline = single_player_setup(5)
+    config = SimulationConfig(np.int64(5), restart_period=np.int64(2), seed=np.int64(1))
+    assert len(run_rcb_seeds(config, market, timeline, np.arange(2))) == 2
+    with pytest.raises(InputError, match="seeds: expected an integer"):
+        run_rcb_seeds(config, market, timeline, [0, 1.5])
 
 
 # --- regret accounting ---------------------------------------------------------------

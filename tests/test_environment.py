@@ -71,6 +71,12 @@ def test_rejects_event_mean_above_mu_bar():
         flat_timeline(events=(ChangeEvent(5, 0, 0, 1.2),))
 
 
+@pytest.mark.parametrize("mu_bar", [math.nan, math.inf])
+def test_rejects_non_finite_mu_bar(mu_bar):
+    with pytest.raises(InputError, match="mu_bar must be positive and finite"):
+        flat_timeline(mu_bar=mu_bar)
+
+
 def test_rejects_event_with_bad_indices():
     with pytest.raises(InputError):
         flat_timeline(events=(ChangeEvent(5, 2, 0, 0.3),))
