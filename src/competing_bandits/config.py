@@ -291,7 +291,8 @@ _GRAMMAR = {
         _Key("seeds", "seeds", _seeds, "0", _joined(str, ",")),
         _Key("baseline", "baseline", partial(_one_of, BASELINES), "pessimal"),
         _Key("noise", "noise", partial(_one_of, NOISE_FAMILIES), "gaussian"),
-        _Key("out", "out_dir", str, "."),
+        # A '%' echoes as '%%', the escape that parses back to it.
+        _Key("out", "out_dir", str, ".", lambda out: out.replace("%", "%%")),
     ),
     "generator": (
         _Key("seed", "seed", partial(_number, kind=int, minimum=0), "0"),

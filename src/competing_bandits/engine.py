@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
 from typing import Optional, Sequence
@@ -19,8 +18,8 @@ import numpy as np
 
 # The loop no longer calls deferred_acceptance or sample_reward; they stay
 # importable here because perfbench/tracing.py wraps them at these names.
-from .environment import (NOISE_FAMILIES, MeanRewardTimeline, draw_noise,  # noqa: F401
-                          sample_reward, stable_benchmarks, total_changes)
+from .environment import (NOISE_FAMILIES, MeanRewardTimeline, _check_integer,  # noqa: F401
+                          draw_noise, sample_reward, stable_benchmarks, total_changes)
 from .errors import InputError
 from .market import (MarketInstance, Matching, deferred_acceptance,  # noqa: F401
                      player_proposing_da)
@@ -44,15 +43,6 @@ META_TRACE_COLUMNS = TRACE_COLUMNS + ("epoch_index", "chosen_H")
 # Rounds per chunk of the trace export; one chunk's column strings are held
 # at a time, so export memory does not grow with the horizon.
 _EXPORT_CHUNK_ROUNDS = 256
-
-
-def _check_integer(name: str, value) -> None:
-    """InputError naming ``name`` unless ``value`` is an integer (numpy
-    integers included)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise InputError(f"{name}: expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -290,7 +280,9 @@ class _Run:
         # are fixed), so a seed whose rankings repeat keeps last round's arms.
         identity = [list(range(k))] * width
         last_rankings, last_arms = [None] * len(seed_rows), [None] * len(seed_rows)
-        for t, restart in zip(range(start, end + 1), flags):
+        # A round followed by a restart, or the last round of this call (the
+        # learner state is local to it), leaves learner state nothing reads.
+        for t, restart, stale in zip(range(start, end + 1), flags, flags[1:] + [1]):
             while segments[seg_idx][1] < t:
                 seg_idx += 1
             if restart:
@@ -315,9 +307,10 @@ class _Run:
                 cells = np.fromiter(chain.from_iterable(last_arms), np.int64, width) + offsets
             row = rewards[t - 1]
             row += segment_means[seg_idx].take(cells)
-            c, total = flat_counts[cells] + 1, flat_sums[cells] + row
-            flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
             matchings[t - 1] = cells  # made arm indices after the loop
+            if not stale:
+                c, total = flat_counts[cells] + 1, flat_sums[cells] + row
+                flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
         matchings[start - 1:end] -= offsets
 
 
@@ -360,50 +353,47 @@ def write_trace_csv(trace: SimulationTrace, path,
     leading '#' comment lines so the file alone reproduces the run.
     Returns the regret report the rows were computed from.
 
-    Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``)
-    but are built column-wise, ``_EXPORT_CHUNK_ROUNDS`` rounds at a time."""
+    Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``).
+    Within a segment a row's true mean, benchmark arm and regret increment
+    depend only on its (player, matched arm) cell, so they come from one
+    string table per segment; ``_EXPORT_CHUNK_ROUNDS`` rounds are joined at
+    a time."""
     report = regret_report(trace)
-    n = trace.n_players
-    bench_arms = trace.benchmark_arms()
+    n, k = trace.n_players, len(trace.segments[0][2][0])
+    offsets, players = np.arange(n) * k, range(n)
     is_meta = trace.chosen_h is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
-    players = [str(i) for i in range(n)]
-    arms = [str(a) for a in range(len(trace.segments[0][2][0]))]  # indexing beats str() per cell
-
-    def per_player(*values):
-        """Per-round columns, joined into one string per round and repeated
-        once per player."""
-        joined = map(",".join, zip(*(map(str, column) for column in values)))
-        return [text for text in joined for _ in players]
-
+    player_arm = [f"{p},{a}," for p in players for a in range(k)]  # cell p * K + a
+    # ",true_mean,benchmark_arm,regret_increment," of cell p * K + a in
+    # segment s at s * N * K + p * K + a; the increment is regret_report's
+    # subtraction.
+    bench_arms = trace.benchmark_arms()
+    tables = [f",{v!r},{b},{row[b] - v!r}," for start, _, means in trace.segments
+              for row, b in zip(means, bench_arms[start - 1]) for v in row]
+    segment_ends = [end for _, end, _ in trace.segments]
     with open(path, "w", newline="") as fh:
         for key, value in list(trace_metadata(trace)) + list(extra_metadata):
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(columns) + "\r\n")
         for lo in range(0, trace.horizon, _EXPORT_CHUNK_ROUNDS):
             hi = min(lo + _EXPORT_CHUNK_ROUNDS, trace.horizon)
-            size = (hi - lo) * n
-            # True means, increments and cumulative regret take few distinct
-            # values: repr each distinct bit pattern once (bits, not values,
-            # so that -0.0 stays apart from 0.0).
-            few = np.concatenate((_true_means(trace, lo, hi).ravel(),
-                                  report.increments[lo:hi].ravel(),
-                                  report.cumulative[lo:hi].ravel()))
-            bits, inverse = np.unique(few.view(np.int64), return_inverse=True)
-            texts = [repr(v) for v in bits.view(np.float64).tolist()]
-            reprs = [texts[j] for j in inverse.tolist()]
-            fields = [
-                per_player(range(lo + 1, hi + 1), trace.block_index[lo:hi],
-                           trace.restart_flags[lo:hi]),
-                players * (hi - lo),
-                map(arms.__getitem__, trace.matchings[lo:hi].ravel().tolist()),
+            rounds = np.arange(lo + 1, hi + 1)
+            cells = (trace.matchings[lo:hi] + offsets).ravel()
+            segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
+            heads = [f"{t},{b},{f}," for t, b, f in zip(rounds.tolist(), trace.block_index[lo:hi],
+                                                         trace.restart_flags[lo:hi])]
+            ends = ([f",{e},{h}\r\n" for e, h in zip(trace.epoch_index[lo:hi],
+                                                      trace.chosen_h[lo:hi])]
+                    if is_meta else ["\r\n"] * (hi - lo))
+            # Cumulative regret takes few distinct values: repr each distinct
+            # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
+            bits, inverse = np.unique(report.cumulative[lo:hi].ravel().view(np.int64),
+                                      return_inverse=True)
+            distinct = [repr(v) for v in bits.view(np.float64).tolist()]
+            fh.write("".join(chain.from_iterable(zip(
+                (h for h in heads for _ in players), map(player_arm.__getitem__, cells.tolist()),
                 map(repr, trace.rewards[lo:hi].ravel().tolist()),
-                reprs[:size],
-                map(arms.__getitem__, chain.from_iterable(bench_arms[lo:hi])),
-                reprs[size:2 * size],
-                reprs[2 * size:],
-            ]
-            if is_meta:
-                fields.append(per_player(trace.epoch_index[lo:hi], trace.chosen_h[lo:hi]))
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+                map(tables.__getitem__, segment_cells.tolist()),
+                map(distinct.__getitem__, inverse.tolist()), (e for e in ends for _ in players),
+            ))))
     return report

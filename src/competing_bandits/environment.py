@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,15 @@ NOISE_FAMILIES = ("gaussian", "uniform", "none")
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
 
 
+def _check_integer(name: str, value) -> None:
+    """InputError naming ``name`` unless ``value`` is an integer (numpy
+    integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InputError(f"{name}: expected an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class ChangeEvent:
     """One cell of the mean matrix taking a new value from round ``time`` on."""
@@ -34,6 +44,10 @@ class ChangeEvent:
     player: int
     arm: int
     new_mean: float
+
+    def __post_init__(self):
+        for name in ("time", "player", "arm"):
+            _check_integer(f"event {name}", getattr(self, name))
 
 
 class MeanRewardTimeline:
@@ -52,6 +66,7 @@ class MeanRewardTimeline:
         events: Sequence[ChangeEvent] = (),
         mu_bar: float = 1.0,
     ):
+        _check_integer("horizon", horizon)
         if horizon < 1:
             raise InputError("horizon must be at least 1")
         if not 0 < mu_bar < math.inf:

@@ -162,10 +162,12 @@ def player_proposing_da(
     ``rankings[p]`` lists player p's arms from most to least preferred and
     ``arm_utilities[j][p]`` is arm j's utility for player p; inputs are not
     validated. A rejected player proposes again at once; the outcome does
-    not depend on the proposal order.
+    not depend on the proposal order. A player's arm is its last accepted
+    proposal: a displaced player proposes again until it is held.
     """
     next_choice = [0] * len(rankings)  # where a held player resumes if displaced
     holder = [-1] * len(arm_utilities)  # arm -> player currently held
+    assignment = [-1] * len(rankings)
     for p, ranks in enumerate(rankings):
         choice = 0
         while True:
@@ -173,19 +175,13 @@ def player_proposing_da(
             choice += 1
             occupant = holder[arm]
             if occupant < 0:
-                holder[arm] = p
-                next_choice[p] = choice
+                holder[arm], assignment[p], next_choice[p] = p, arm, choice
                 break
             utility = arm_utilities[arm]
             if utility[p] > utility[occupant]:
-                holder[arm] = p
-                next_choice[p] = choice
+                holder[arm], assignment[p], next_choice[p] = p, arm, choice
                 # The displaced player proposes next, from where it stopped.
                 p, ranks, choice = occupant, rankings[occupant], next_choice[occupant]
-    assignment = [-1] * len(rankings)
-    for arm, p in enumerate(holder):
-        if p >= 0:
-            assignment[p] = arm
     return assignment
 
 

@@ -247,6 +247,17 @@ def test_echoed_generator_config_parses_back(tmp_path_factory, config):
     assert parse_config(path) == config
 
 
+def test_echo_escapes_percent_and_parses_back(tmp_path):
+    """``out = a%%b`` holds ``a%b``; its echo must escape the '%' again, or
+    the echo written back as a config fails to parse."""
+    config = parse_config(write_config(tmp_path, GENERATOR_CONFIG.replace(
+        "noise = none", "noise = none\nout = a%%b")))
+    assert config.out_dir == "a%b"
+    assert dict(echo_config(config))["out"] == "a%%b"
+    path = write_config(tmp_path, ini_from_echo(echo_config(config)), name="echo.ini")
+    assert parse_config(path) == config
+
+
 WIDE_EXPLICIT_CONFIG = """
 [experiment]
 version = 1

@@ -468,6 +468,22 @@ def test_trace_csv_equals_row_wise_oracle(tmp_path_factory, data):
     assert np.array_equal(report.cumulative, expected.cumulative)
 
 
+@pytest.mark.parametrize("noise", NOISE_FAMILIES)
+@pytest.mark.parametrize("mode", ["rcb", "meta"])
+def test_trace_csv_equals_row_wise_oracle_with_short_segments(tmp_path, mode, noise):
+    """Many segments start inside one export chunk, so the writer switches
+    segment tables mid-chunk; the bytes are still the row-wise writer's."""
+    market, timeline = generate_instance(
+        GeneratorSpec(seed=5, n_players=2, n_arms=3, delta=0.05, n_changes=40), 300)
+    starts = [start for start, _, _ in timeline.segments()]
+    assert sum(1 < start <= CHUNK for start in starts) >= 20
+    config = SimulationConfig(300, seed=9, noise=noise)
+    trace = (run_rcb_meta if mode == "meta" else run_rcb)(config, market, timeline)
+    write_trace_csv(trace, tmp_path / "columns.csv")
+    write_trace_csv_rows(trace, tmp_path / "rows.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
 def test_trace_csv_keeps_negative_zero(tmp_path):
     """A -0.0 mean exports as -0.0 (reward and true mean of round 1) while
     the 0.0 increments of later rounds in the same chunk stay 0.0: the

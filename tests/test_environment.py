@@ -82,6 +82,27 @@ def test_rejects_event_with_bad_indices():
         flat_timeline(events=(ChangeEvent(5, 2, 0, 0.3),))
 
 
+def test_rejects_non_integer_horizon():
+    """A float horizon used to be truncated silently."""
+    with pytest.raises(InputError, match="horizon: expected an integer"):
+        flat_timeline(horizon=4.5)
+
+
+@pytest.mark.parametrize("field, value", [("time", 2.5), ("player", 0.5), ("arm", 1.5)])
+def test_rejects_non_integer_event_field(field, value):
+    """An event at t = 2.5 used to give segments (1, 1.5) and (2.5, 10), on
+    which run_rcb raised TypeError; an in-range float index raised it here."""
+    fields = {"time": 5, "player": 0, "arm": 0, "new_mean": 0.3, field: value}
+    with pytest.raises(InputError, match=f"event {field}: expected an integer"):
+        flat_timeline(events=(ChangeEvent(**fields),))
+
+
+def test_accepts_numpy_integer_fields():
+    timeline = flat_timeline(horizon=np.int64(10),
+                             events=(ChangeEvent(np.int64(5), np.int64(1), np.int32(2), 0.3),))
+    assert [(start, end) for start, end, _ in timeline.segments()] == [(1, 4), (5, 10)]
+
+
 def test_rejects_ragged_rows():
     with pytest.raises(InputError):
         MeanRewardTimeline(10, ((0.1, 0.5), (0.2,)))
