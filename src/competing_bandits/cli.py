@@ -21,7 +21,7 @@ from .config import ExperimentConfig, check_mode, echo_config, parse_config, res
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
 from .environment import MeanRewardTimeline
-from .errors import CompetingBanditsError, InputError
+from .errors import CompetingBanditsError, ConfigError, InputError
 from .market import (
     ENUMERATION_LIMIT,
     MarketInstance,
@@ -58,9 +58,12 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
               grid_values: Sequence[int]) -> list[SweepRow]:
     """Average the max-over-players pessimal regret across seeds for each
     grid point. Grid keys: T (horizon), L (change count), H (restart
-    period); T and L require a [generator] config."""
+    period); T and L require a [generator] config, and the mode must be
+    rcb."""
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
+    if config.mode == "meta":
+        raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
     # The instance depends on (horizon, n_changes) only: resolve each once,
     # and every point before the first run, so a bad one fails early.
     resolve = functools.cache(functools.partial(resolve_instance, config))

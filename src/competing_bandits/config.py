@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import BASELINES
 from .environment import NOISE_FAMILIES, ChangeEvent, MeanRewardTimeline
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, _check_integer
 from .market import MarketInstance
 
 CONFIG_VERSION = 1
@@ -46,6 +46,11 @@ class GeneratorSpec:
     change_fractions: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
+        for name in ("seed", "n_players", "n_arms", "n_changes"):
+            try:
+                _check_integer(f"generator: {name}", getattr(self, name))
+            except InputError as exc:
+                raise ConfigError(str(exc)) from None
         if self.seed < 0:
             raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
         for name, value in (("delta", self.delta), ("mu_bar", self.mu_bar),

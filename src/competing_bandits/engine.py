@@ -1,6 +1,6 @@
 """Simulation loop: synchronized UCB restarts, platform clearing through
 player-proposing deferred acceptance, reward dispatch, and regret
-accounting against the per-round stable benchmarks.
+accounting against the per-segment stable benchmarks.
 
 Seeds of one config can share one round loop (``run_rcb_seeds``); other
 independent runs share no state and can be driven in parallel.
@@ -8,7 +8,6 @@ independent runs share no state and can be driven in parallel.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count, islice
@@ -18,9 +17,9 @@ import numpy as np
 
 # The loop no longer calls deferred_acceptance or sample_reward; they stay
 # importable here because perfbench/tracing.py wraps them at these names.
-from .environment import (NOISE_FAMILIES, MeanRewardTimeline, _check_integer,  # noqa: F401
-                          draw_noise, sample_reward, stable_benchmarks, total_changes)
-from .errors import InputError
+from .environment import (NOISE_FAMILIES, MeanRewardTimeline, draw_noise,  # noqa: F401
+                          sample_reward, stable_benchmarks, total_changes)
+from .errors import InputError, _check_integer
 from .market import (MarketInstance, Matching, deferred_acceptance,  # noqa: F401
                      player_proposing_da)
 
@@ -82,8 +81,10 @@ class SimulationTrace:
 
     ``segments`` are the timeline's constant segments as (first round, last
     round, means); true and benchmark means are derived from them on demand.
-    The traces of one batch share ``segments``, the benchmark arm lists and
-    the restart schedule (``restart_flags``, ``block_index``).
+    ``optimal_arms`` and ``pessimal_arms`` hold one benchmark assignment per
+    segment, aligned with ``segments``. The traces of one batch share
+    ``segments``, the benchmark arm lists and the restart schedule
+    (``restart_flags``, ``block_index``).
     """
 
     n_players: int
@@ -107,8 +108,15 @@ class SimulationTrace:
 
     @property
     def true_means(self) -> np.ndarray:
-        """(T, N) true means of the matched arms, derived on every access."""
-        return _true_means(self, 0, self.horizon)
+        """(T, N) true means of the matched arms, derived on every access
+        from the segments."""
+        offsets = np.arange(self.n_players) * len(self.segments[0][2][0])
+        out = np.empty(self.matchings.shape)
+        for start, end, means in self.segments:
+            # The cells are in range; "clip" lets take write into out unbuffered.
+            np.ravel(means).take(self.matchings[start - 1:end] + offsets,
+                                 out=out[start - 1:end], mode="clip")
+        return out
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
         baseline = baseline or self.baseline
@@ -121,28 +129,10 @@ class SimulationTrace:
     def benchmark_means(self, baseline: Optional[str] = None) -> np.ndarray:
         """(T, N) true means of the benchmark matching. The benchmark is
         constant within a segment, so each segment is filled with one row."""
-        arms = self.benchmark_arms(baseline)
         out = np.empty(self.matchings.shape)
-        for start, end, means in self.segments:
-            out[start - 1:end] = [row[arm] for row, arm in zip(means, arms[start - 1])]
+        for (start, end, means), arms in zip(self.segments, self.benchmark_arms(baseline)):
+            out[start - 1:end] = [row[arm] for row, arm in zip(means, arms)]
         return out
-
-
-def _true_means(trace: SimulationTrace, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, N) true means of the matched arms in rows lo to hi - 1,
-    from the segments that cover those rounds."""
-    segments = trace.segments
-    offsets = np.arange(trace.n_players) * len(segments[0][2][0])
-    out = np.empty((hi - lo, trace.n_players))
-    # The first segment that ends at round lo + 1 or later.
-    for i in range(bisect.bisect_right(segments, lo, key=lambda s: s[1]), len(segments)):
-        start, end, means = segments[i]
-        if start > hi:
-            break
-        a, b = max(start - 1, lo), min(end, hi)
-        # The cells are in range; "clip" lets take write into out unbuffered.
-        np.ravel(means).take(trace.matchings[a:b] + offsets, out=out[a - lo:b - lo], mode="clip")
-    return out
 
 
 @dataclass(frozen=True)
@@ -216,8 +206,6 @@ class _Run:
     def __init__(self, config: SimulationConfig, market: MarketInstance,
                  timeline: MeanRewardTimeline, seeds: Sequence[int],
                  benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
-        if market.n_players != timeline.n_players or market.n_arms != timeline.n_arms:
-            raise InputError("market and timeline dimensions disagree")
         if config.horizon != timeline.horizon:
             raise InputError(
                 f"config horizon {config.horizon} != timeline horizon {timeline.horizon}"
@@ -367,9 +355,8 @@ def write_trace_csv(trace: SimulationTrace, path,
     # ",true_mean,benchmark_arm,regret_increment," of cell p * K + a in
     # segment s at s * N * K + p * K + a; the increment is regret_report's
     # subtraction.
-    bench_arms = trace.benchmark_arms()
-    tables = [f",{v!r},{b},{row[b] - v!r}," for start, _, means in trace.segments
-              for row, b in zip(means, bench_arms[start - 1]) for v in row]
+    tables = [f",{v!r},{b},{row[b] - v!r}," for (_, _, means), arms in zip(
+              trace.segments, trace.benchmark_arms()) for row, b in zip(means, arms) for v in row]
     segment_ends = [end for _, end, _ in trace.segments]
     with open(path, "w", newline="") as fh:
         for key, value in list(trace_metadata(trace)) + list(extra_metadata):

@@ -10,6 +10,7 @@ validation; reward sampling keeps all its state in the caller's generator.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, InputError
+from .errors import AssumptionError, InputError, _check_integer
 from .market import MarketInstance, Matching, RankOrdering, optimal_pessimal
 
 NOISE_FAMILIES = ("gaussian", "uniform", "none")
@@ -25,15 +26,6 @@ NOISE_FAMILIES = ("gaussian", "uniform", "none")
 # Half-width of the zero-mean uniform noise; chosen so its variance is 1,
 # matching the gaussian family's scale.
 _UNIFORM_HALF_WIDTH = math.sqrt(3.0)
-
-
-def _check_integer(name: str, value) -> None:
-    """InputError naming ``name`` unless ``value`` is an integer (numpy
-    integers included)."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise InputError(f"{name}: expected an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -91,17 +83,12 @@ class MeanRewardTimeline:
     def _validate_and_build_segments(self):
         self._check_matrix(self.initial_means, segment_start=1)
         current = [list(row) for row in self.initial_means]
-        # segments: parallel lists of start times and frozen matrices
-        starts = [1]
-        matrices = [tuple(tuple(row) for row in current)]
-        idx = 0
-        events = self.events
-        while idx < len(events):
-            t = events[idx].time
+        # (first round, means) of every segment, one per distinct event time.
+        points = [(1, self.initial_means)]
+        for t, group in itertools.groupby(self.events, key=operator.attrgetter("time")):
             if not (2 <= t <= self.horizon):
                 raise InputError(f"event time {t} outside [2, {self.horizon}]")
-            while idx < len(events) and events[idx].time == t:
-                ev = events[idx]
+            for ev in group:
                 if not (0 <= ev.player < self.n_players and 0 <= ev.arm < self.n_arms):
                     raise InputError(f"event at t={t} has out-of-range indices")
                 if not (0.0 <= ev.new_mean <= self.mu_bar):
@@ -114,13 +101,11 @@ class MeanRewardTimeline:
                         "does not change the mean"
                     )
                 current[ev.player][ev.arm] = ev.new_mean
-                idx += 1
             frozen = tuple(tuple(row) for row in current)
             self._check_matrix(frozen, segment_start=t)
-            starts.append(t)
-            matrices.append(frozen)
-        self._segment_starts = starts
-        self._segment_means = matrices
+            points.append((t, frozen))
+        ends = [start - 1 for start, _ in points[1:]] + [self.horizon]
+        self._segments = tuple((start, end, means) for (start, means), end in zip(points, ends))
 
     def _check_matrix(self, means, segment_start):
         for i, row in enumerate(means):
@@ -138,16 +123,15 @@ class MeanRewardTimeline:
 
     def segments(self) -> list[tuple[int, int, tuple[tuple[float, ...], ...]]]:
         """Maximal constant segments as (first round, last round, means)."""
-        ends = [start - 1 for start in self._segment_starts[1:]] + [self.horizon]
-        return list(zip(self._segment_starts, ends, self._segment_means))
+        return list(self._segments)
 
 
 def means_at(timeline: MeanRewardTimeline, t: int) -> tuple[tuple[float, ...], ...]:
     """The mean matrix in force at round ``t`` (1-based)."""
     if not (1 <= t <= timeline.horizon):
         raise InputError(f"round {t} outside [1, {timeline.horizon}]")
-    idx = bisect.bisect_right(timeline._segment_starts, t) - 1
-    return timeline._segment_means[idx]
+    # The first segment that ends at round t or later.
+    return timeline._segments[bisect.bisect_left(timeline._segments, t, key=lambda s: s[1])][2]
 
 
 def total_changes(timeline: MeanRewardTimeline) -> int:
@@ -162,7 +146,7 @@ def total_changes(timeline: MeanRewardTimeline) -> int:
 def min_gap(timeline: MeanRewardTimeline) -> float:
     """Smallest |mu_i(k) - mu_i(k')| over all segments, players, arm pairs."""
     gap = math.inf
-    for means in timeline._segment_means:
+    for _, _, means in timeline._segments:
         for row in means:
             vals = sorted(row)
             for a, b in zip(vals, vals[1:]):
@@ -212,13 +196,9 @@ def stable_benchmarks(
     timeline: MeanRewardTimeline,
     market: MarketInstance,
 ) -> list[tuple[Matching, Matching]]:
-    """(player-optimal, player-pessimal) stable matching per round, built
-    from the true means. One DA pair per constant segment, broadcast over
-    the segment's rounds."""
+    """(player-optimal, player-pessimal) stable matching of each constant
+    segment, aligned with ``timeline.segments()``, built from the true
+    means."""
     if timeline.n_players != market.n_players or timeline.n_arms != market.n_arms:
         raise InputError("timeline and market dimensions disagree")
-    out: list[tuple[Matching, Matching]] = []
-    for start, end, means in timeline.segments():
-        pair = optimal_pessimal(true_orderings(means), market)
-        out.extend([pair] * (end - start + 1))
-    return out
+    return [optimal_pessimal(true_orderings(means), market) for _, _, means in timeline.segments()]

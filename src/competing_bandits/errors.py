@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that
+raises one."""
+
+import operator
 
 
 class CompetingBanditsError(Exception):
@@ -19,3 +22,12 @@ class AssumptionError(InputError):
 
 class ConfigError(InputError):
     """An experiment configuration file failed to parse or validate."""
+
+
+def _check_integer(name: str, value) -> None:
+    """InputError naming ``name`` unless ``value`` is an integer (numpy
+    integers included)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise InputError(f"{name}: expected an integer, got {value!r}") from None

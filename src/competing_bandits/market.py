@@ -10,10 +10,11 @@ unmatched when K > N.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, InputError, _check_integer
 
 # Exhaustive enumeration is factorial in the market size; refuse anything
 # bigger than this on either side.
@@ -25,8 +26,8 @@ class MarketInstance:
     """Static market skeleton: sizes and the arms' utilities over players.
 
     ``arm_utilities[j][i]`` is the utility arm j derives from player i.
-    Within each arm the utilities must be pairwise distinct so that arm
-    preferences are strict.
+    Within each arm the utilities must be finite and pairwise distinct so
+    that arm preferences are strict.
     """
 
     n_players: int
@@ -34,6 +35,8 @@ class MarketInstance:
     arm_utilities: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        _check_integer("n_players", self.n_players)
+        _check_integer("n_arms", self.n_arms)
         if self.n_players < 1:
             raise InputError("market requires at least one player")
         if self.n_arms < self.n_players:
@@ -49,6 +52,8 @@ class MarketInstance:
                 raise InputError(
                     f"arm {j}: utility vector has length {len(row)}, expected {self.n_players}"
                 )
+            if not all(map(math.isfinite, row)):
+                raise InputError(f"arm {j}: utilities must be finite, got {row}")
             if len(set(row)) != len(row):
                 raise InputError(f"arm {j}: utilities over players must be distinct")
             normalized.append(row)

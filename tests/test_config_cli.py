@@ -304,9 +304,15 @@ def test_generator_spec_rejects_negative_seed():
     ("mu_bar", {"mu_bar": math.nan}),
     ("mu_bar", {"mu_bar": math.inf}),
     ("change_fractions", {"n_changes": 2, "change_fractions": (0.5, math.nan)}),
+    ("seed", {"seed": 1.0}),
+    ("n_players", {"n_players": 2.0}),
+    ("n_arms", {"n_arms": 2.0}),
+    ("n_changes", {"n_changes": 0.0}),
 ])
 def test_generator_spec_rejects_non_finite_numbers(field, values):
-    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+    """Non-finite floats, and floats in integer fields, fail naming the field."""
+    message = f"generator: {field}( must be finite|: expected an integer)"
+    with pytest.raises(ConfigError, match=message):
         GeneratorSpec(**{"seed": 0, "n_players": 2, "n_arms": 2, "delta": 0.1,
                          "n_changes": 0, **values})
 
@@ -459,6 +465,15 @@ changes = 1
     assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out_dir)]) == 1
     assert named in capsys.readouterr().err
     assert runs == []
+    assert not out_dir.exists()
+
+
+def test_cli_sweep_rejects_meta_mode(tmp_path, capsys):
+    text = GENERATOR_CONFIG.replace("noise = none", "noise = none\nmode = meta")
+    path = write_config(tmp_path, text)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--grid", "T=200,400", "--out", str(out_dir)]) == 1
+    assert "[experiment] mode" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

@@ -21,6 +21,7 @@ from competing_bandits import (
     compute_restart_period,
     deferred_acceptance,
     means_at,
+    optimal_pessimal,
     regret_report,
     run_rcb,
     run_rcb_meta,
@@ -29,8 +30,8 @@ from competing_bandits import (
 )
 from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
-from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS, _true_means
-from competing_bandits.environment import NOISE_FAMILIES
+from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS
+from competing_bandits.environment import NOISE_FAMILIES, true_orderings
 from trace_oracle import write_trace_csv_rows
 
 
@@ -335,18 +336,23 @@ def test_true_means_are_the_matched_arms_means():
         assert means == [means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
 
 
-def test_true_means_of_any_row_range():
-    """The true means of rows lo to hi - 1, as the chunked export derives
-    them, for every range of a trace whose segments start on the first,
-    the last and inner rounds."""
-    events = tuple(ChangeEvent(t, t % 2, 1 - t % 2, 0.1 * t / 12) for t in (2, 3, 7, 12))
+def test_true_means_and_benchmarks_per_segment():
+    """The true and benchmark means a trace derives from its segments, on a
+    trace whose segments start on the first, the last and inner rounds,
+    against each round's means and DA on its true orderings. The benchmark
+    flips in the last segment, so a misaligned one fails."""
+    events = tuple(ChangeEvent(t, t % 2, 1 - t % 2, 0.95 * t / 12) for t in (2, 3, 7, 12))
     market, timeline = conflict_setup(12, events)
     trace = run_rcb(SimulationConfig(12, seed=3), market, timeline)
     expected = [[means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
                 for t, arms in enumerate(trace.matchings.tolist(), start=1)]
-    for lo in range(12):
-        for hi in range(lo + 1, 13):
-            assert _true_means(trace, lo, hi).tolist() == expected[lo:hi], (lo, hi)
+    assert trace.true_means.tolist() == expected
+    optimal, pessimal = trace.benchmark_means("optimal"), trace.benchmark_means("pessimal")
+    for t in range(1, 13):
+        means = means_at(timeline, t)
+        opt, pess = optimal_pessimal(true_orderings(means), market)
+        assert optimal[t - 1].tolist() == [row[a] for row, a in zip(means, opt.assignment)], t
+        assert pessimal[t - 1].tolist() == [row[a] for row, a in zip(means, pess.assignment)], t
 
 
 def test_regret_uses_true_means_not_samples():
@@ -384,8 +390,9 @@ def test_zero_regret_when_matched_to_benchmark():
     market, timeline = single_player_setup(30)
     trace = run_rcb(SimulationConfig(30, noise="none"), market, timeline)
     report = regret_report(trace, "pessimal")
-    for t, (m, b) in enumerate(zip(trace.matchings.tolist(), trace.pessimal_arms)):
-        if m == list(b):
+    (arms,) = trace.pessimal_arms  # the stationary timeline's one segment
+    for t, m in enumerate(trace.matchings.tolist()):
+        if m == list(arms):
             assert report.increments[t].tolist() == [0.0] * trace.n_players
 
 

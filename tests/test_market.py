@@ -1,6 +1,7 @@
 """Stable matching core: deferred acceptance against brute-force oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ def test_market_rejects_k_smaller_than_n():
 def test_market_rejects_duplicate_arm_utilities():
     with pytest.raises(InputError):
         MarketInstance(2, 2, ((1.0, 1.0), (1.0, 2.0)))
+
+
+@pytest.mark.parametrize("field, sizes", [("n_players", (2.0, 2)), ("n_arms", (2, 2.0))])
+def test_market_rejects_non_integer_sizes(field, sizes):
+    with pytest.raises(InputError, match=f"{field}: expected an integer"):
+        MarketInstance(*sizes, ((1.0, 2.0), (2.0, 1.0)))
+    assert MarketInstance(np.int64(2), np.int32(2), ((1.0, 2.0), (2.0, 1.0))).n_arms == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_market_rejects_non_finite_utilities(bad):
+    """A nan compares neither above nor below any utility, so arm-proposing
+    DA would return a matching that is not the player-pessimal one."""
+    with pytest.raises(InputError, match="arm 1: utilities must be finite"):
+        MarketInstance(2, 2, ((2.0, 1.0), (bad, 1.0)))
 
 
 def test_rank_ordering_rejects_non_permutation():

@@ -2,7 +2,8 @@
 ``engine.write_trace_csv`` must match byte for byte.
 
 It is the writer the library shipped before the export became
-column-wise, kept here unchanged apart from its name.
+column-wise, kept here unchanged apart from its name and the expansion of
+the per-segment benchmark arms to one entry per round.
 """
 
 import csv
@@ -15,7 +16,8 @@ def write_trace_csv_rows(trace, path, extra_metadata=()):
     """Write one row per (round, player) through ``csv.writer``, one round
     at a time; returns the regret report the rows were computed from."""
     report = regret_report(trace)
-    bench_arms = trace.benchmark_arms()
+    bench_arms = [arms for (start, end, _), arms in zip(trace.segments, trace.benchmark_arms())
+                  for _ in range(start, end + 1)]
     true_means = trace.true_means
     is_meta = trace.chosen_h is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
