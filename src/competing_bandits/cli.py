@@ -60,12 +60,17 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
     grid point. Grid keys: T (horizon), L (change count), H (restart
     period); T and L require a [generator] config, and the mode must be
     rcb."""
+    return _sweep_rows(config, _sweep_points(config, grid_key, grid_values))
+
+
+def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence[int]) -> list:
+    """Each grid point's (value, market, timeline, run config), all resolved
+    before any point runs, so a bad one fails early."""
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
     if config.mode == "meta":
         raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
-    # The instance depends on (horizon, n_changes) only: resolve each once,
-    # and every point before the first run, so a bad one fails early.
+    # The instance depends on (horizon, n_changes) only: resolve each once.
     resolve = functools.cache(functools.partial(resolve_instance, config))
     points = []
     for value in grid_values:
@@ -76,6 +81,10 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
             points.append((value, market, timeline, sim))
         except InputError as exc:
             raise type(exc)(f"--grid {grid_key}={value}: {exc}") from None
+    return points
+
+
+def _sweep_rows(config: ExperimentConfig, points: list) -> list[SweepRow]:
     rows = []
     for value, market, timeline, sim in points:
         traces = run_rcb_seeds(sim, market, timeline, config.seeds)
@@ -158,7 +167,8 @@ def _print_echo(config: ExperimentConfig) -> None:
         print(f"  {key} = {value}")
 
 
-def _int_list(text: str, flag: str, minimum: Optional[int] = None) -> list[int]:
+def _int_list(text: str, flag: str, minimum: Optional[int] = None,
+              maximum: Optional[int] = None, distinct: bool = False) -> list[int]:
     """The integers of a comma-separated flag value; InputError names the flag."""
     try:
         values = [int(v) for v in text.split(",")]
@@ -166,7 +176,24 @@ def _int_list(text: str, flag: str, minimum: Optional[int] = None) -> list[int]:
         raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
     if minimum is not None and min(values) < minimum:
         raise InputError(f"{flag}: values must be at least {minimum}, got {text!r}")
+    if maximum is not None and max(values) > maximum:
+        raise InputError(f"{flag}: values must be at most {maximum}, got {text!r}")
+    if distinct and len(set(values)) < len(values):
+        raise InputError(f"{flag}: values must not repeat, got {text!r}")
     return values
+
+
+def _out_dir(args, config: ExperimentConfig) -> Path:
+    """The output directory, made now; an error names the flag or key that
+    gave the path."""
+    out_dir = Path(args.out or config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        source = "--out" if args.out else "[experiment] out"
+        raise InputError(f"{source}: cannot make directory {str(out_dir)!r}: "
+                         f"{exc.strerror}") from None
+    return out_dir
 
 
 def _cmd_validate(args) -> int:
@@ -180,12 +207,12 @@ def _cmd_run(args) -> int:
     config = parse_config(args.config)
     # Overrides replace config fields, so the echo and trace headers show what ran.
     if args.seed is not None:
-        config = replace(config, seeds=tuple(_int_list(args.seed, "--seed", minimum=0)))
+        config = replace(config, seeds=tuple(_int_list(args.seed, "--seed", minimum=0,
+                                                       distinct=True)))
     if args.mode is not None:
         config = replace(config, mode=args.mode)
         check_mode(config.mode, config.horizon, config.restart_period, f"--mode {args.mode}")
-    out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args, config)
     _print_echo(config)
     metadata = echo_config(config)
     market, timeline = resolve_instance(config)
@@ -207,10 +234,11 @@ def _cmd_sweep(args) -> int:
     if not eq:
         raise InputError("--grid must look like KEY=v1,v2,... with integer values")
     grid_key = grid_key.strip()
-    grid_values = _int_list(raw, f"--grid {grid_key}", minimum=0 if grid_key == "L" else 1)
-    rows = run_sweep(config, grid_key, grid_values)
-    out_dir = Path(args.out or config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    grid_values = _int_list(raw, f"--grid {grid_key}", minimum=0 if grid_key == "L" else 1,
+                            distinct=True)
+    points = _sweep_points(config, grid_key, grid_values)
+    out_dir = _out_dir(args, config)
+    rows = _sweep_rows(config, points)
     path = out_dir / f"sweep_{grid_key}.csv"
     write_sweep_csv(rows, path, grid_key, config)
     print(f"wrote {path}")
@@ -221,7 +249,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes", minimum=1)
+    sizes = _int_list(args.sizes, "--sizes", minimum=1, maximum=ENUMERATION_LIMIT)
     if args.instances < 1:
         raise InputError(f"--instances: must be at least 1, got {args.instances}")
     mismatches = oracle_check(args.instances, sizes, args.seed)

@@ -242,6 +242,8 @@ def _numbers(text: str, kind: type = float, minimum: Optional[int] = None) -> tu
 def _seeds(text: str) -> tuple[int, ...]:
     if not (seeds := _numbers(text, int, minimum=0)):
         raise ValueError("need at least one seed")
+    if len(set(seeds)) < len(seeds):
+        raise ValueError(f"seeds must not repeat, got {text!r}")
     return seeds
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, count, islice
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,9 +82,11 @@ class SimulationTrace:
     ``segments`` are the timeline's constant segments as (first round, last
     round, means); true and benchmark means are derived from them on demand.
     ``optimal_arms`` and ``pessimal_arms`` hold one benchmark assignment per
-    segment, aligned with ``segments``. The traces of one batch share
-    ``segments``, the benchmark arm lists and the restart schedule
-    (``restart_flags``, ``block_index``).
+    segment, aligned with ``segments``. ``schedule`` holds one entry per
+    ``play`` call, and ``restart_flags``, ``block_index``, ``epoch_index``
+    and ``chosen_h`` are per-round lists derived from it on every access.
+    The traces of one batch share ``segments``, the benchmark arm lists and
+    ``schedule``.
     """
 
     n_players: int
@@ -99,12 +101,38 @@ class SimulationTrace:
     segments: list[tuple[int, int, tuple[tuple[float, ...], ...]]] = field(default_factory=list)
     optimal_arms: list[tuple[int, ...]] = field(default_factory=list)
     pessimal_arms: list[tuple[int, ...]] = field(default_factory=list)
-    restart_flags: list[int] = field(default_factory=list)
-    block_index: list[int] = field(default_factory=list)
-    # Meta-mode extras; None for plain runs.
-    epoch_index: Optional[list[int]] = None
-    chosen_h: Optional[list[int]] = None
+    # (first round, last round, restart period) per play call: learners
+    # restart at the first round and every period rounds after it.
+    schedule: list[tuple[int, int, int]] = field(default_factory=list)
+    # Meta mode's per-epoch summaries; None for plain runs.
     epoch_summaries: Optional[list] = None
+
+    @property
+    def restart_flags(self) -> list[int]:
+        """Per round, 1 if the learners restart at it, else 0."""
+        return [int(i % period == 0) for start, end, period in self.schedule
+                for i in range(end - start + 1)]
+
+    @property
+    def block_index(self) -> list[int]:
+        """Per round, its block's number, counting from 1 over the schedule."""
+        out = []
+        for start, end, period in self.schedule:
+            first = out[-1] + 1 if out else 1
+            out += [first + i // period for i in range(end - start + 1)]
+        return out
+
+    @property
+    def epoch_index(self) -> Optional[list[int]]:
+        """Per round, its epoch (one play call each) in meta mode; else None."""
+        return None if self.epoch_summaries is None else [
+            e for e, (start, end, _) in enumerate(self.schedule) for _ in range(start, end + 1)]
+
+    @property
+    def chosen_h(self) -> Optional[list[int]]:
+        """Per round, its epoch's restart period in meta mode; else None."""
+        return None if self.epoch_summaries is None else [
+            period for start, end, period in self.schedule for _ in range(start, end + 1)]
 
     @property
     def true_means(self) -> np.ndarray:
@@ -220,9 +248,8 @@ class _Run:
         self.rewards = np.zeros((config.horizon, width))
         segments = timeline.segments()
         # One restart schedule for the whole batch, like the benchmarks.
-        self.restart_flags, self.block_index = [], []
-        shared = dict(segments=segments, restart_flags=self.restart_flags,
-                      block_index=self.block_index,
+        self.schedule = []
+        shared = dict(segments=segments, schedule=self.schedule,
                       optimal_arms=[opt.assignment for opt, _ in benchmarks],
                       pessimal_arms=[pess.assignment for _, pess in benchmarks])
         self.traces = [
@@ -238,10 +265,10 @@ class _Run:
     def play(self, start: int, end: int, period: int) -> None:
         """Play rounds ``start`` to ``end`` inclusive for every seed,
         restarting every learner when ``(t - start) % period == 0``, so at
-        ``start`` too. Block numbers continue from the schedule so far."""
+        ``start`` too, and add the call to the schedule."""
+        self.schedule.append((start, end, period))
         n, k, utilities = self.market.n_players, self.market.n_arms, self.market.arm_utilities
         matchings, rewards = self.matchings, self.rewards
-        restart_flags, block_index = self.restart_flags, self.block_index
         width = rewards.shape[1]
         seed_rows = range(0, width, n)  # each seed's first trace column and learner row
         # Each seed's noise for the whole range in one draw (the same stream
@@ -259,10 +286,6 @@ class _Run:
         segments, segment_means = self.traces[0].segments, self.segment_means
         seg_idx = tau = 0
         flags = [1 if (t - start) % period == 0 else 0 for t in range(start, end + 1)]
-        restart_flags.extend(flags)
-        # One int object per block, shared by its rounds (ints past 256 are not cached).
-        blocks = count(block_index[-1] + 1 if block_index else 1)
-        block_index.extend(islice((b for b in blocks for _ in range(period)), end - start + 1))
         # After a restart every UCB value is +inf, so the stable ranking is
         # ascending arm index. DA depends only on the rankings (the utilities
         # are fixed), so a seed whose rankings repeat keeps last round's arms.
@@ -306,12 +329,13 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
     """Cumulative and per-block regret against the chosen benchmark,
     computed from the true (not sampled) means of the matched arms."""
     baseline = baseline or trace.baseline
-    increments = trace.benchmark_means(baseline) - trace.true_means
+    increments = trace.benchmark_means(baseline)
+    increments -= trace.true_means
     cumulative = np.cumsum(increments, axis=0)
 
-    flags = trace.restart_flags
-    starts = [0] + [t for t in range(1, len(flags)) if flags[t]]
-    bounds = [(s + 1, e) for s, e in zip(starts, starts[1:] + [len(flags)])]
+    # Each block's first row, 0-based.
+    starts = [s for start, end, period in trace.schedule for s in range(start - 1, end, period)]
+    bounds = [(s + 1, e) for s, e in zip(starts, starts[1:] + [trace.horizon])]
     block_sums = np.add.reduceat(increments, starts, axis=0)
     return RegretReport(
         baseline=baseline,
@@ -331,7 +355,7 @@ def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
         ("noise", trace.noise),
         ("baseline", trace.baseline),
         ("n_players", str(trace.n_players)),
-        ("mode", "rcb" if trace.chosen_h is None else "meta"),
+        ("mode", "rcb" if trace.epoch_summaries is None else "meta"),
     ]
 
 
@@ -344,12 +368,13 @@ def write_trace_csv(trace: SimulationTrace, path,
     Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``).
     Within a segment a row's true mean, benchmark arm and regret increment
     depend only on its (player, matched arm) cell, so they come from one
-    string table per segment; ``_EXPORT_CHUNK_ROUNDS`` rounds are joined at
-    a time."""
+    string table per segment. The schedule gives each round's block and
+    restart flag, and in meta mode its epoch and period. Up to
+    ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time."""
     report = regret_report(trace)
     n, k = trace.n_players, len(trace.segments[0][2][0])
     offsets, players = np.arange(n) * k, range(n)
-    is_meta = trace.chosen_h is not None
+    is_meta = trace.epoch_summaries is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
     player_arm = [f"{p},{a}," for p in players for a in range(k)]  # cell p * K + a
     # ",true_mean,benchmark_arm,regret_increment," of cell p * K + a in
@@ -362,25 +387,28 @@ def write_trace_csv(trace: SimulationTrace, path,
         for key, value in list(trace_metadata(trace)) + list(extra_metadata):
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(columns) + "\r\n")
-        for lo in range(0, trace.horizon, _EXPORT_CHUNK_ROUNDS):
-            hi = min(lo + _EXPORT_CHUNK_ROUNDS, trace.horizon)
-            rounds = np.arange(lo + 1, hi + 1)
-            cells = (trace.matchings[lo:hi] + offsets).ravel()
-            segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
-            heads = [f"{t},{b},{f}," for t, b, f in zip(rounds.tolist(), trace.block_index[lo:hi],
-                                                         trace.restart_flags[lo:hi])]
-            ends = ([f",{e},{h}\r\n" for e, h in zip(trace.epoch_index[lo:hi],
-                                                      trace.chosen_h[lo:hi])]
-                    if is_meta else ["\r\n"] * (hi - lo))
-            # Cumulative regret takes few distinct values: repr each distinct
-            # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
-            bits, inverse = np.unique(report.cumulative[lo:hi].ravel().view(np.int64),
-                                      return_inverse=True)
-            distinct = [repr(v) for v in bits.view(np.float64).tolist()]
-            fh.write("".join(chain.from_iterable(zip(
-                (h for h in heads for _ in players), map(player_arm.__getitem__, cells.tolist()),
-                map(repr, trace.rewards[lo:hi].ravel().tolist()),
-                map(tables.__getitem__, segment_cells.tolist()),
-                map(distinct.__getitem__, inverse.tolist()), (e for e in ends for _ in players),
-            ))))
+        first_block = 1
+        for epoch, (start, end, period) in enumerate(trace.schedule):
+            tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
+            for lo in range(start - 1, end, _EXPORT_CHUNK_ROUNDS):
+                hi = min(lo + _EXPORT_CHUNK_ROUNDS, end)
+                rounds = np.arange(lo + 1, hi + 1)
+                cells = (trace.matchings[lo:hi] + offsets).ravel()
+                segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
+                # Round t is round i of this play call, counting from 0.
+                heads = [f"{t},{first_block + i // period},{int(i % period == 0)},"
+                         for i, t in enumerate(rounds.tolist(), lo + 1 - start)]
+                # Cumulative regret takes few distinct values: repr each distinct
+                # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
+                bits, inverse = np.unique(report.cumulative[lo:hi].ravel().view(np.int64),
+                                          return_inverse=True)
+                distinct = [repr(v) for v in bits.view(np.float64).tolist()]
+                fh.write("".join(chain.from_iterable(zip(
+                    (h for h in heads for _ in players),
+                    map(player_arm.__getitem__, cells.tolist()),
+                    map(repr, trace.rewards[lo:hi].ravel().tolist()),
+                    map(tables.__getitem__, segment_cells.tolist()),
+                    map(distinct.__getitem__, inverse.tolist()), repeat(tail),
+                ))))
+            first_block += len(range(start, end + 1, period))
     return report

@@ -123,8 +123,9 @@ def run_rcb_meta(
     Learner states reset at every epoch start and at every period boundary
     inside an epoch. At each epoch's end the meta-learner receives the sum
     of all sampled rewards in the epoch, normalized by N * epoch_length *
-    mu_bar and clipped to [0, 1]. The trace gains per-round epoch/period
-    columns and a per-epoch summary list.
+    mu_bar and clipped to [0, 1]. The trace's schedule holds one entry per
+    epoch, from which its per-round epoch/period columns derive, and it
+    gains a per-epoch summary list.
     """
     if config.restart_period is not None:
         raise InputError("meta mode tunes the restart period itself; leave it unset")
@@ -132,9 +133,7 @@ def run_rcb_meta(
     ensemble = build_ensemble(horizon)
     run = _Run(
         config, market, timeline, [config.seed], stable_benchmarks(timeline, market),
-        restart_period=0,  # varies per epoch; see chosen_h
-        epoch_index=[],
-        chosen_h=[],
+        restart_period=0,  # varies per epoch; see schedule
         epoch_summaries=[],
     )
     trace = run.traces[0]
@@ -148,8 +147,6 @@ def run_rcb_meta(
         start = epoch * ensemble.epoch_length + 1
         end = min(horizon, (epoch + 1) * ensemble.epoch_length)
         run.play(start, end, period)
-        trace.epoch_index.extend([epoch] * (end - start + 1))
-        trace.chosen_h.extend([period] * (end - start + 1))
         epoch_reward = sum(sum(r) for r in trace.rewards[start - 1:end].tolist())
         reward = min(1.0, max(0.0, epoch_reward / norm))
         exp3_update(exp3, arm, reward)

@@ -118,6 +118,7 @@ def test_parse_generator_config(tmp_path):
         ("version = 1", "version = 1\nmode = oracle-check", "mode"),
         ("version = 1", "version = 1\nseeds = -1", "[experiment] seeds"),
         ("version = 1", "version = 1\nseeds = 0, 3, -2", "[experiment] seeds"),
+        ("version = 1", "version = 1\nseeds = 3, 3", "[experiment] seeds"),
         ("version = 1", "version = 1\nmode = meta\nrestart_period = 10",
          "[experiment] restart_period"),
         ("horizon = 60", "horizon = 1\nmode = meta", "[experiment] horizon"),
@@ -227,8 +228,8 @@ def generator_configs(draw):
         horizon=draw(st.integers(2 if mode == "meta" else 1, 10**6), label="T"),
         restart_period=None if mode == "meta" else draw(st.none() | st.integers(1, 10**6),
                                                         label="H"),
-        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
-                         label="seeds")),
+        seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
+                                  unique=True), label="seeds")),
         baseline=draw(st.sampled_from(BASELINES), label="baseline"),
         noise=draw(st.sampled_from(NOISE_FAMILIES), label="noise"),
         generator=generator,
@@ -636,6 +637,9 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["oracle-check", "--sizes", "0,2"], "--sizes"),
         (["oracle-check", "--instances", "-5"], "--instances"),
         (["oracle-check", "--instances", "0"], "--instances"),
+        (["run", "--seed", "1,1"], "--seed"),
+        (["sweep", "--grid", "H=1,1"], "--grid"),
+        (["oracle-check", "--sizes", "2,7"], "--sizes"),
     ],
 )
 def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):
@@ -646,6 +650,31 @@ def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):
     assert main(argv) == 1
     assert flag in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "H=5,20"]],
+                         ids=["run", "sweep"])
+@pytest.mark.parametrize("source", ["--out", "[experiment] out"])
+def test_cli_out_path_that_cannot_be_a_directory_fails_before_running(
+        tmp_path, capsys, monkeypatch, command, source):
+    """An output path below a regular file fails before anything runs,
+    naming the flag or the config key that gave it."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"
+    argv = command
+    if source == "--out":
+        argv = argv + ["--out", str(out)]
+        text = EXPLICIT_CONFIG
+    else:
+        text = EXPLICIT_CONFIG.replace("version = 1", f"version = 1\nout = {out}")
+    runs = []
+    monkeypatch.setattr(cli, "run_rcb", lambda *args: runs.append(args))
+    monkeypatch.setattr(cli, "run_rcb_seeds", lambda *args: runs.append(args))
+    assert main(argv + ["--config", str(write_config(tmp_path, text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and source in err
+    assert runs == []
 
 
 def test_cli_oracle_check_exits_zero(capsys):

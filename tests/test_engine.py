@@ -386,6 +386,36 @@ def test_block_sums_partition_the_increments():
     assert np.allclose(report.block_sums.sum(axis=0), report.final())
 
 
+def scanned_block_bounds(trace):
+    """Block bounds from a scan of the per-round restart flags."""
+    starts = [t for t, flag in enumerate(trace.restart_flags, start=1) if flag]
+    return tuple(zip(starts, [s - 1 for s in starts[1:]] + [trace.horizon]))
+
+
+def test_block_bounds_follow_the_restart_flags():
+    """regret_report takes its blocks from the schedule; they equal a scan of
+    restart_flags on a batched rcb trace and on a meta trace whose epochs
+    (11 rounds at T = 120) are not a multiple of every chosen period, so a
+    block also starts at each epoch start."""
+    market, timeline = conflict_setup(50, (ChangeEvent(20, 0, 1, 0.95),))
+    traces = run_rcb_seeds(SimulationConfig(50, restart_period=12), market, timeline, [0, 1, 1])
+    for trace in traces:
+        assert trace.schedule is traces[0].schedule == [(1, 50, 12)]
+        assert trace.epoch_index is None and trace.chosen_h is None
+        assert regret_report(trace).block_bounds == scanned_block_bounds(trace)
+
+    market, timeline = conflict_setup(120, (ChangeEvent(60, 0, 1, 0.95),))
+    trace = run_rcb_meta(SimulationConfig(120, seed=4), market, timeline)
+    periods = [s.chosen_h for s in trace.epoch_summaries]
+    assert any(11 % h for h in periods)
+    assert [(start, end) for start, end, _ in trace.schedule] == [
+        (s, min(s + 10, 120)) for s in range(1, 121, 11)]
+    report = regret_report(trace)
+    assert report.block_bounds == scanned_block_bounds(trace)
+    for (lo, hi), sums in zip(report.block_bounds, report.block_sums):
+        assert np.allclose(sums, report.increments[lo - 1:hi].sum(axis=0))
+
+
 def test_zero_regret_when_matched_to_benchmark():
     market, timeline = single_player_setup(30)
     trace = run_rcb(SimulationConfig(30, noise="none"), market, timeline)
