@@ -260,6 +260,14 @@ class _Run:
         ]
         # Each segment's (N, K) means, flat and repeated once per seed.
         self.segment_means = [np.tile(np.ravel(means), len(seeds)) for _, _, means in segments]
+        # The seeds share no arms, so one DA call clears the batch as one market: arm a
+        # of seed s is arm s * K + a, its utility row arm a's repeated S times (K lists,
+        # each shared S times). Learner row r of seed s ranks it as arm_offset[r, a] + a,
+        # arm_offset holding s * K in every column (a full-shape add beats a broadcast).
+        k = market.n_arms
+        self.batch_utilities = [row * len(seeds) for row in market.arm_utilities] * len(seeds)
+        self.arm_offset = np.repeat(np.arange(width) // n * k, k).reshape(width, k)
+        self.identity = (self.arm_offset + np.arange(k)).tolist()
 
     @np.errstate(divide="ignore")  # the UCB bonus of an unexplored arm is 1 / 0
     def play(self, start: int, end: int, period: int) -> None:
@@ -267,14 +275,13 @@ class _Run:
         restarting every learner when ``(t - start) % period == 0``, so at
         ``start`` too, and add the call to the schedule."""
         self.schedule.append((start, end, period))
-        n, k, utilities = self.market.n_players, self.market.n_arms, self.market.arm_utilities
+        n, k, utilities = self.market.n_players, self.market.n_arms, self.batch_utilities
         matchings, rewards = self.matchings, self.rewards
         width = rewards.shape[1]
-        seed_rows = range(0, width, n)  # each seed's first trace column and learner row
         # Each seed's noise for the whole range in one draw (the same stream
         # as one draw per round); each round adds its true means to its row.
         rows = rewards[start - 1:end]
-        for lo, rng in zip(seed_rows, self.rngs):
+        for lo, rng in zip(range(0, width, n), self.rngs):
             rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
         # Learner state: (S * N, K) pull counts, reward sums and negated means,
         # row s * N + i for player i of seed s, also viewed flat with cell
@@ -287,10 +294,12 @@ class _Run:
         seg_idx = tau = 0
         flags = [1 if (t - start) % period == 0 else 0 for t in range(start, end + 1)]
         # After a restart every UCB value is +inf, so the stable ranking is
-        # ascending arm index. DA depends only on the rankings (the utilities
-        # are fixed), so a seed whose rankings repeat keeps last round's arms.
-        identity = [list(range(k))] * width
-        last_rankings, last_arms = [None] * len(seed_rows), [None] * len(seed_rows)
+        # ascending arm index. One DA call per round clears the whole batch;
+        # DA depends only on the rankings (the utilities are fixed), so a
+        # round whose batch rankings repeat keeps last round's arms.
+        identity, arm_offset = self.identity, self.arm_offset
+        cell_base = offsets - arm_offset[:, 0]  # batch arm x of row r is cell cell_base[r] + x
+        last_rankings = last_arms = None
         # A round followed by a restart, or the last round of this call (the
         # learner state is local to it), leaves learner state nothing reads.
         for t, restart, stale in zip(range(start, end + 1), flags, flags[1:] + [1]):
@@ -299,23 +308,19 @@ class _Run:
             if restart:
                 counts.fill(0)
                 sums.fill(0.0)
-                tau = 0
-            tau += 1
-            # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
-            # rounding is sign-symmetric; a count of 0 gives an infinite bonus
-            # over any finite mean an earlier block left, so -inf ties.
-            rankings = identity if restart else (
-                neg_means - np.sqrt(1.5 * math.log(tau) / counts)
-            ).argsort(axis=-1, kind="stable").tolist()
-            changed = False
-            for s, lo in enumerate(seed_rows):
-                ranks = rankings[lo:lo + n]
-                if ranks != last_rankings[s]:
-                    arms = player_proposing_da(ranks, utilities)
-                    changed = changed or arms != last_arms[s]
-                    last_rankings[s], last_arms[s] = ranks, arms
-            if changed:
-                cells = np.fromiter(chain.from_iterable(last_arms), np.int64, width) + offsets
+                tau, rankings = 1, identity
+            else:
+                tau += 1
+                # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
+                # rounding is sign-symmetric; a count of 0 gives an infinite bonus
+                # over any finite mean an earlier block left, so -inf ties.
+                order = (neg_means - np.sqrt(1.5 * math.log(tau) / counts)).argsort(kind="stable")
+                rankings = (order + arm_offset).tolist()
+            if rankings != last_rankings:
+                arms = player_proposing_da(rankings, utilities)
+                if arms != last_arms:
+                    cells = cell_base + arms
+                last_rankings, last_arms = rankings, arms
             row = rewards[t - 1]
             row += segment_means[seg_idx].take(cells)
             matchings[t - 1] = cells  # made arm indices after the loop

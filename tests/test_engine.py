@@ -177,10 +177,10 @@ def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
 
 @pytest.mark.parametrize("period", [1, 50, 200])
 def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings, period):
-    """Restart rounds rank arms by index and a seed whose rankings repeat
-    keeps last round's arms; every round of every seed still equals the
-    reference DA on the replayed orderings, and DA is skipped on some
-    rounds."""
+    """Restart rounds rank arms by index and a round whose batch rankings
+    repeat keeps last round's arms; every round of every seed still equals
+    the reference DA on the replayed orderings, and DA, called at most once
+    per round for the whole batch, is skipped on some rounds."""
     market, timeline = generate_instance(
         GeneratorSpec(seed=3, n_players=3, n_arms=4, delta=0.25, n_changes=0), 200)
     calls = []
@@ -193,7 +193,7 @@ def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings,
     monkeypatch.setattr(engine, "player_proposing_da", counted)
     seeds = [0, 1, 2, 3]
     traces = run_rcb_seeds(SimulationConfig(200, restart_period=period), market, timeline, seeds)
-    assert len(calls) < 200 * len(seeds)
+    assert len(calls) < 200
     for trace in traces:
         rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
         for m, orderings in rounds:
@@ -207,8 +207,9 @@ def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings,
 def test_clearing_shortcuts_match_reference_da_on_generated_instances(submitted_orderings, data):
     """The loop ranks by negated running means updated at the matched cells
     only, uses the identity ranking on restart rounds and skips DA for a
-    seed whose rankings repeat; every round of every seed still equals the
-    reference DA on the orderings a reference ``UcbState`` replay submits.
+    round whose batch rankings repeat; every round of every seed still
+    equals the reference DA on the orderings a reference ``UcbState``
+    replay submits.
     Neither run_rcb_seeds nor run_rcb_meta warns (a count of 0 divides by zero)
     or leaves numpy's error state changed."""
     n = data.draw(st.integers(1, 6), label="N")
@@ -247,8 +248,9 @@ def test_clearing_shortcuts_match_reference_da_on_generated_instances(submitted_
             run_rcb_meta(replace(config, restart_period=None), market, timeline)
     assert np.geterr() == error_state
     if period == 1:
-        # Every round restarts, so every seed submits the identity ranking.
-        assert da_calls == len(seeds)
+        # Every round restarts, so every round submits the batch's identity
+        # ranking: one DA call for the whole run_rcb_seeds (one play) call.
+        assert da_calls == 1
     for trace in traces:
         rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
         for m, orderings in rounds:

@@ -212,6 +212,30 @@ def test_da_matches_reference_da(data):
         holders.index(p) for p in range(n))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_da_on_disjoint_union_clears_each_market(data):
+    """DA on S random N x K markets joined into one with disjoint arm blocks
+    (arm a of market s becomes arm s * K + a, its utility row market s's
+    row of arm a repeated S times) returns each market's own DA assignment
+    offset by s * K. The engine clears a batch of seeds with one call this
+    way."""
+    n = data.draw(st.integers(1, 6), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    n_markets = data.draw(st.integers(1, 8), label="S")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    markets = [([rng.permutation(k).tolist() for _ in range(n)],
+                [rng.permutation(n).astype(float).tolist() for _ in range(k)])
+               for _ in range(n_markets)]
+    union_rankings = [[a + s * k for a in ranks]
+                      for s, (rankings, _) in enumerate(markets) for ranks in rankings]
+    union = player_proposing_da(union_rankings,
+                                [row * n_markets for _, utilities in markets for row in utilities])
+    for s, (rankings, utilities) in enumerate(markets):
+        own = player_proposing_da(rankings, utilities)
+        assert union[s * n:(s + 1) * n] == [a + s * k for a in own], f"market {s} of {n_markets}"
+
+
 def test_blocking_pair_reported_in_swapped_conflict():
     market, orderings = conflict_2x2()
     m = Matching((1, 0))  # p0 holds a1 while preferring a0, which prefers p0
