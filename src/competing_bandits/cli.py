@@ -252,6 +252,8 @@ def _cmd_oracle_check(args) -> int:
     sizes = _int_list(args.sizes, "--sizes", minimum=1, maximum=ENUMERATION_LIMIT)
     if args.instances < 1:
         raise InputError(f"--instances: must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise InputError(f"--seed: must be non-negative, got {args.seed}")
     mismatches = oracle_check(args.instances, sizes, args.seed)
     if mismatches:
         for line in mismatches:

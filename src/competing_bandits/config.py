@@ -60,7 +60,8 @@ class GeneratorSpec:
         if self.n_players < 1:
             raise ConfigError("generator: n_players must be positive")
         if self.n_arms < self.n_players:
-            raise ConfigError("market requires K >= N")
+            raise ConfigError(f"[generator] n_arms: market requires K >= N, "
+                              f"got K = {self.n_arms} < N = {self.n_players}")
         if self.delta <= 0:
             raise ConfigError("generator: delta floor must be positive")
         if self.n_changes < 0:
@@ -311,7 +312,7 @@ _GRAMMAR = {
         _Key("change_fractions", "change_fractions", _numbers, None, _joined(repr, ",")),
     ),
     "market": (
-        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
+        _Key("n_players", "n_players", partial(_number, kind=int, minimum=1), _REQUIRED),
         _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
         _Key("arm_utilities", "arm_utilities", _matrix, _REQUIRED, _matrix_text),
     ),
@@ -385,8 +386,8 @@ def parse_config(path) -> ExperimentConfig:
     for name in ("market", "timeline"):
         if name not in sections:
             raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
-    if sections["market"]["n_arms"] < sections["market"]["n_players"]:
-        raise ConfigError("market requires K >= N")
+    if (k := sections["market"]["n_arms"]) < (n := sections["market"]["n_players"]):
+        raise ConfigError(f"[market] n_arms: market requires K >= N, got K = {k} < N = {n}")
     try:
         market = MarketInstance(**sections["market"])
     except InputError as exc:

@@ -80,12 +80,11 @@ class SimulationTrace:
     """Per-round record of a run plus the resolved run parameters.
 
     ``segments`` are the timeline's constant segments as (first round, last
-    round, means); true and benchmark means are derived from them on demand.
+    round, means); ``true_means`` is derived from them on every access.
     ``optimal_arms`` and ``pessimal_arms`` hold one benchmark assignment per
     segment, aligned with ``segments``. ``schedule`` holds one entry per
-    ``play`` call, and ``restart_flags``, ``block_index``, ``epoch_index``
-    and ``chosen_h`` are per-round lists derived from it on every access.
-    The traces of one batch share ``segments``, the benchmark arm lists and
+    ``play`` call; blocks, restarts and meta epochs are read from it. The
+    traces of one batch share ``segments``, the benchmark arm lists and
     ``schedule``.
     """
 
@@ -108,33 +107,6 @@ class SimulationTrace:
     epoch_summaries: Optional[list] = None
 
     @property
-    def restart_flags(self) -> list[int]:
-        """Per round, 1 if the learners restart at it, else 0."""
-        return [int(i % period == 0) for start, end, period in self.schedule
-                for i in range(end - start + 1)]
-
-    @property
-    def block_index(self) -> list[int]:
-        """Per round, its block's number, counting from 1 over the schedule."""
-        out = []
-        for start, end, period in self.schedule:
-            first = out[-1] + 1 if out else 1
-            out += [first + i // period for i in range(end - start + 1)]
-        return out
-
-    @property
-    def epoch_index(self) -> Optional[list[int]]:
-        """Per round, its epoch (one play call each) in meta mode; else None."""
-        return None if self.epoch_summaries is None else [
-            e for e, (start, end, _) in enumerate(self.schedule) for _ in range(start, end + 1)]
-
-    @property
-    def chosen_h(self) -> Optional[list[int]]:
-        """Per round, its epoch's restart period in meta mode; else None."""
-        return None if self.epoch_summaries is None else [
-            period for start, end, period in self.schedule for _ in range(start, end + 1)]
-
-    @property
     def true_means(self) -> np.ndarray:
         """(T, N) true means of the matched arms, derived on every access
         from the segments."""
@@ -153,14 +125,6 @@ class SimulationTrace:
         if baseline == "pessimal":
             return self.pessimal_arms
         raise InputError(f"unknown baseline {baseline!r}; must be one of {BASELINES}")
-
-    def benchmark_means(self, baseline: Optional[str] = None) -> np.ndarray:
-        """(T, N) true means of the benchmark matching. The benchmark is
-        constant within a segment, so each segment is filled with one row."""
-        out = np.empty(self.matchings.shape)
-        for (start, end, means), arms in zip(self.segments, self.benchmark_arms(baseline)):
-            out[start - 1:end] = [row[arm] for row, arm in zip(means, arms)]
-        return out
 
 
 @dataclass(frozen=True)
@@ -181,6 +145,8 @@ class RegretReport:
 def compute_restart_period(horizon: int, change_count: int) -> int:
     """Block length sqrt(T / L), rounded and clamped to [1, T]; a
     stationary timeline (L = 0) gets a single block."""
+    _check_integer("horizon", horizon)
+    _check_integer("change_count", change_count)
     if horizon < 1:
         raise InputError("horizon must be at least 1")
     if change_count < 0:
@@ -334,7 +300,10 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
     """Cumulative and per-block regret against the chosen benchmark,
     computed from the true (not sampled) means of the matched arms."""
     baseline = baseline or trace.baseline
-    increments = trace.benchmark_means(baseline)
+    # The benchmark is constant within a segment: one row fills each.
+    increments = np.empty(trace.matchings.shape)
+    for (start, end, means), arms in zip(trace.segments, trace.benchmark_arms(baseline)):
+        increments[start - 1:end] = [row[arm] for row, arm in zip(means, arms)]
     increments -= trace.true_means
     cumulative = np.cumsum(increments, axis=0)
 

@@ -47,8 +47,8 @@ class Exp3State:
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1 or len(self.weights) < 1:
             raise InputError("weights must be a non-empty vector")
-        if np.any(self.weights <= 0):
-            raise InputError("weights must stay positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise InputError(f"weights must be positive and finite, got {self.weights.tolist()}")
         if not (0 < self.gamma <= 1):
             raise InputError("exploration rate must be in (0, 1]")
 

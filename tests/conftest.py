@@ -3,6 +3,7 @@
 import pytest
 
 from competing_bandits import UcbState
+from trace_oracle import schedule_columns
 
 
 @pytest.fixture
@@ -14,7 +15,8 @@ def submitted_orderings():
 
     def replay(trace, n_arms):
         learners = [UcbState(i, n_arms) for i in range(trace.n_players)]
-        for flag, arms, rewards in zip(trace.restart_flags, trace.matchings.tolist(),
+        _, restart_flags, _, _ = schedule_columns(trace)
+        for flag, arms, rewards in zip(restart_flags, trace.matchings.tolist(),
                                        trace.rewards.tolist()):
             for learner in learners:
                 if flag:

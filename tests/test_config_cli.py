@@ -181,13 +181,19 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
     (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 nan"), "[timeline] events: expected a finite"),
     (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = inf"),
      "[timeline] mu_bar: expected a finite"),
+    (EXPLICIT_CONFIG.replace("n_players = 2", "n_players = 0"), "[market] n_players: must be"),
+    (EXPLICIT_CONFIG.replace("n_players = 2", "n_players = 3"),
+     "[market] n_arms: market requires K >= N"),
+    (GENERATOR_CONFIG.replace("n_arms = 3", "n_arms = 1"),
+     "[generator] n_arms: market requires K >= N"),
 ], ids=["experiment_key", "generator_key", "market_key", "timeline_key", "section",
         "delta", "generator_mu_bar", "change_fractions", "arm_utilities", "initial_means",
-        "events", "timeline_mu_bar"])
+        "events", "timeline_mu_bar", "market_n_players", "market_k_below_n",
+        "generator_k_below_n"])
 def test_validate_rejects_unknown_names_and_non_finite_numbers(tmp_path, capsys, text, error):
-    """A misspelt key, an extra section or a nan/inf number fails
-    validation, naming the section and key, instead of running with a
-    default or crashing later."""
+    """A misspelt key, an extra section, a nan/inf number or a market size
+    out of range fails validation, naming the section and key, instead of
+    running with a default or crashing later."""
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError) as err:
         parse_config(path)
@@ -640,6 +646,7 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["run", "--seed", "1,1"], "--seed"),
         (["sweep", "--grid", "H=1,1"], "--grid"),
         (["oracle-check", "--sizes", "2,7"], "--sizes"),
+        (["oracle-check", "--seed", "-1"], "--seed"),
     ],
 )
 def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):

@@ -32,7 +32,7 @@ from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS
 from competing_bandits.environment import NOISE_FAMILIES, true_orderings
-from trace_oracle import write_trace_csv_rows
+from trace_oracle import schedule_columns, write_trace_csv_rows
 
 
 def conflict_setup(horizon, events=()):
@@ -41,6 +41,14 @@ def conflict_setup(horizon, events=()):
     market = MarketInstance(2, 2, ((2.0, 1.0), (2.0, 1.0)))
     timeline = MeanRewardTimeline(horizon, ((0.9, 0.4), (0.8, 0.3)), events)
     return market, timeline
+
+
+def benchmark_rows(trace, baseline):
+    """Per round, the true means of the benchmark arms, expanded from the
+    trace's segments and their benchmark assignments."""
+    return [[row[arm] for row, arm in zip(means, arms)]
+            for (start, end, means), arms in zip(trace.segments, trace.benchmark_arms(baseline))
+            for _ in range(start, end + 1)]
 
 
 def single_player_setup(horizon):
@@ -70,6 +78,12 @@ def test_restart_period_rejects_bad_inputs():
         compute_restart_period(0, 1)
     with pytest.raises(InputError):
         compute_restart_period(10, -1)
+    # A float fails naming its argument instead of coming back as the period.
+    with pytest.raises(InputError, match="horizon: expected an integer"):
+        compute_restart_period(5.5, 0)
+    with pytest.raises(InputError, match="change_count: expected an integer"):
+        compute_restart_period(100, 1.5)
+    assert compute_restart_period(np.int64(100), np.int64(4)) == 5
 
 
 def test_explicit_period_clamped_to_horizon():
@@ -129,9 +143,11 @@ def test_run_rejects_shape_mismatch():
 def test_restart_flags_follow_the_block_grid():
     market, timeline = single_player_setup(30)
     trace = run_rcb(SimulationConfig(30, restart_period=7, noise="none"), market, timeline)
-    flagged = [t + 1 for t, f in enumerate(trace.restart_flags) if f]
+    assert trace.schedule == [(1, 30, 7)]
+    blocks, flags, _, _ = schedule_columns(trace)
+    flagged = [t + 1 for t, f in enumerate(flags) if f]
     assert flagged == [1, 8, 15, 22, 29]
-    assert trace.block_index == [1 + (t // 7) for t in range(30)]
+    assert blocks == [1 + (t // 7) for t in range(30)]
 
 
 def test_single_player_explores_then_commits():
@@ -297,8 +313,7 @@ def test_batched_runs_equal_sequential_runs(data):
         alone = run_rcb(replace(config, seed=seed), market, timeline)
         for name in ("matchings", "rewards", "true_means"):
             assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
-        assert trace.restart_flags == alone.restart_flags
-        assert trace.block_index == alone.block_index
+        assert trace.schedule == alone.schedule
         assert trace.restart_period == alone.restart_period
 
 
@@ -326,7 +341,7 @@ def test_benchmarks_recorded_from_true_means():
     # Unique stable matching, so both benchmarks coincide every round.
     assert set(trace.optimal_arms) == {(0, 1)}
     assert trace.optimal_arms == trace.pessimal_arms
-    assert trace.benchmark_means("optimal").tolist() == [[0.9, 0.3]] * 20
+    assert benchmark_rows(trace, "optimal") == [[0.9, 0.3]] * 20
 
 
 def test_true_means_are_the_matched_arms_means():
@@ -339,29 +354,34 @@ def test_true_means_are_the_matched_arms_means():
 
 
 def test_true_means_and_benchmarks_per_segment():
-    """The true and benchmark means a trace derives from its segments, on a
-    trace whose segments start on the first, the last and inner rounds,
-    against each round's means and DA on its true orderings. The benchmark
-    flips in the last segment, so a misaligned one fails."""
+    """The true means a trace derives from its segments, its per-segment
+    benchmark arms and the regret report's increments, on a trace whose
+    segments start on the first, the last and inner rounds, against each
+    round's means and DA on its true orderings. The benchmark flips in the
+    last segment, so a misaligned one fails."""
     events = tuple(ChangeEvent(t, t % 2, 1 - t % 2, 0.95 * t / 12) for t in (2, 3, 7, 12))
     market, timeline = conflict_setup(12, events)
     trace = run_rcb(SimulationConfig(12, seed=3), market, timeline)
     expected = [[means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
                 for t, arms in enumerate(trace.matchings.tolist(), start=1)]
     assert trace.true_means.tolist() == expected
-    optimal, pessimal = trace.benchmark_means("optimal"), trace.benchmark_means("pessimal")
+    baselines = ("optimal", "pessimal")
+    rows = {b: benchmark_rows(trace, b) for b in baselines}
+    increments = {b: regret_report(trace, b).increments for b in baselines}
     for t in range(1, 13):
         means = means_at(timeline, t)
-        opt, pess = optimal_pessimal(true_orderings(means), market)
-        assert optimal[t - 1].tolist() == [row[a] for row, a in zip(means, opt.assignment)], t
-        assert pessimal[t - 1].tolist() == [row[a] for row, a in zip(means, pess.assignment)], t
+        for b, benchmark in zip(baselines, optimal_pessimal(true_orderings(means), market)):
+            bench = [row[a] for row, a in zip(means, benchmark.assignment)]
+            assert rows[b][t - 1] == bench, (b, t)
+            assert increments[b][t - 1].tolist() == (
+                np.array(bench) - trace.true_means[t - 1]).tolist(), (b, t)
 
 
 def test_regret_uses_true_means_not_samples():
     market, timeline = conflict_setup(40)
     trace = run_rcb(SimulationConfig(40, seed=1, noise="gaussian"), market, timeline)
     report = regret_report(trace, "pessimal")
-    expected = trace.benchmark_means("pessimal") - trace.true_means
+    expected = np.array(benchmark_rows(trace, "pessimal")) - trace.true_means
     assert np.allclose(report.increments, expected)
     assert np.allclose(report.cumulative, np.cumsum(expected, axis=0))
     assert np.allclose(report.final(), report.cumulative[-1])
@@ -390,20 +410,20 @@ def test_block_sums_partition_the_increments():
 
 def scanned_block_bounds(trace):
     """Block bounds from a scan of the per-round restart flags."""
-    starts = [t for t, flag in enumerate(trace.restart_flags, start=1) if flag]
+    starts = [t for t, flag in enumerate(schedule_columns(trace)[1], start=1) if flag]
     return tuple(zip(starts, [s - 1 for s in starts[1:]] + [trace.horizon]))
 
 
 def test_block_bounds_follow_the_restart_flags():
     """regret_report takes its blocks from the schedule; they equal a scan of
-    restart_flags on a batched rcb trace and on a meta trace whose epochs
+    the restart flags on a batched rcb trace and on a meta trace whose epochs
     (11 rounds at T = 120) are not a multiple of every chosen period, so a
     block also starts at each epoch start."""
     market, timeline = conflict_setup(50, (ChangeEvent(20, 0, 1, 0.95),))
     traces = run_rcb_seeds(SimulationConfig(50, restart_period=12), market, timeline, [0, 1, 1])
     for trace in traces:
         assert trace.schedule is traces[0].schedule == [(1, 50, 12)]
-        assert trace.epoch_index is None and trace.chosen_h is None
+        assert trace.epoch_summaries is None
         assert regret_report(trace).block_bounds == scanned_block_bounds(trace)
 
     market, timeline = conflict_setup(120, (ChangeEvent(60, 0, 1, 0.95),))

@@ -15,11 +15,13 @@ from competing_bandits import (
     compute_restart_period,
     exp3_select,
     exp3_update,
+    regret_report,
     run_rcb,
     run_rcb_meta,
     write_epoch_summary_csv,
 )
 from competing_bandits.meta import default_gamma
+from trace_oracle import schedule_columns
 
 
 def single_player_setup(horizon, means=(0.1, 6.4), mu_bar=6.5):
@@ -76,6 +78,10 @@ def test_exp3_rejects_bad_construction():
         Exp3State(np.array([1.0, -1.0]), 0.5, rng)
     with pytest.raises(InputError):
         Exp3State(np.array([1.0, 1.0]), 0.0, rng)
+    # Non-finite weights would give NaN probabilities that exp3_select dies on.
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InputError, match="weights"):
+            Exp3State([1.0, bad], 0.1, rng)
 
 
 def test_fresh_probabilities_uniform():
@@ -160,9 +166,8 @@ def test_single_epoch_equals_plain_run_with_drawn_period():
     period = (1, 2)[chosen]
     plain = run_rcb(SimulationConfig(2, restart_period=period, seed=5), market, timeline)
 
-    assert meta.chosen_h == [period, period]
+    assert meta.schedule == plain.schedule == [(1, 2, period)]
     assert np.array_equal(meta.matchings, plain.matchings)
-    assert meta.restart_flags == plain.restart_flags
     expected = meta.true_means + rng.standard_normal((2, 1))
     assert meta.rewards.tobytes() == expected.tobytes()
 
@@ -173,15 +178,16 @@ def test_epoch_bookkeeping_consistent():
     ensemble = build_ensemble(1_000)
     assert len(trace.matchings) == 1_000
     assert len(trace.epoch_summaries) == ensemble.epoch_count
+    _, flags, epochs, periods = schedule_columns(trace)
     for t in range(1_000):
         epoch = t // ensemble.epoch_length
-        assert trace.epoch_index[t] == epoch
-        assert trace.chosen_h[t] == trace.epoch_summaries[epoch].chosen_h
+        assert epochs[t] == epoch
+        assert periods[t] == trace.epoch_summaries[epoch].chosen_h
         offset = t - epoch * ensemble.epoch_length
-        assert trace.restart_flags[t] == (offset % trace.chosen_h[t] == 0)
-    # Block indices never decrease and step by one at each restart.
-    for prev, cur, flag in zip(trace.block_index, trace.block_index[1:], trace.restart_flags[1:]):
-        assert cur - prev == (1 if flag else 0)
+        assert flags[t] == (offset % periods[t] == 0)
+    # The regret report's blocks start at exactly the flagged rounds.
+    assert [lo for lo, _ in regret_report(trace).block_bounds] == [
+        t for t, flag in enumerate(flags, start=1) if flag]
 
 
 def test_normalized_rewards_in_unit_interval():

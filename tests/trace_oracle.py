@@ -4,13 +4,30 @@
 It is the writer the library shipped before the export became
 column-wise, kept here unchanged apart from its name, the expansion of
 the per-segment benchmark arms to one entry per round and the schedule
-columns read once above the per-round loop.
+columns, which ``schedule_columns`` expands once above the per-round loop.
 """
 
 import csv
 
 from competing_bandits.engine import (META_TRACE_COLUMNS, TRACE_COLUMNS, regret_report,
                                       trace_metadata)
+
+
+def schedule_columns(trace):
+    """Per-round block number (from 1), restart flag, epoch and restart
+    period, expanded from ``trace.schedule`` one round at a time: a schedule
+    entry (start, end, period) is epoch e of its list, and the learners
+    restart at ``start`` and every ``period`` rounds after it."""
+    blocks, flags, epochs, periods = [], [], [], []
+    for epoch, (start, end, period) in enumerate(trace.schedule):
+        assert start == len(flags) + 1, "schedule entries must tile the rounds in order"
+        for t in range(start, end + 1):
+            flags.append(int((t - start) % period == 0))
+            blocks.append((blocks[-1] if blocks else 0) + flags[-1])
+            epochs.append(epoch)
+            periods.append(period)
+    assert len(flags) == trace.horizon, "schedule must cover the horizon"
+    return blocks, flags, epochs, periods
 
 
 def write_trace_csv_rows(trace, path, extra_metadata=()):
@@ -20,10 +37,8 @@ def write_trace_csv_rows(trace, path, extra_metadata=()):
     bench_arms = [arms for (start, end, _), arms in zip(trace.segments, trace.benchmark_arms())
                   for _ in range(start, end + 1)]
     true_means = trace.true_means
-    # The schedule views rebuild a T-long list on each access: read them once.
-    block_index, restart_flags = trace.block_index, trace.restart_flags
-    epoch_index, chosen_h = trace.epoch_index, trace.chosen_h
-    is_meta = chosen_h is not None
+    block_index, restart_flags, epoch_index, chosen_h = schedule_columns(trace)
+    is_meta = trace.epoch_summaries is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
     with open(path, "w", newline="") as fh:
         for key, value in list(trace_metadata(trace)) + list(extra_metadata):
