@@ -2,13 +2,16 @@
 player-proposing deferred acceptance, reward dispatch, and regret
 accounting against the per-segment stable benchmarks.
 
-Seeds of one config can share one round loop (``run_rcb_seeds``); other
-independent runs share no state and can be driven in parallel.
+Seeds of one config share one loop (``run_rcb_seeds``), in which the
+restart blocks of a ``play`` call advance in lockstep groups, one step per
+in-block round. Other independent runs share no state and can be driven in
+parallel.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Optional, Sequence
@@ -42,6 +45,9 @@ META_TRACE_COLUMNS = TRACE_COLUMNS + ("epoch_index", "chosen_H")
 # Rounds per chunk of the trace export; one chunk's column strings are held
 # at a time, so export memory does not grow with the horizon.
 _EXPORT_CHUNK_ROUNDS = 256
+# Learner cells (blocks * seeds * players * arms) of one lockstep group in
+# ``_Run.play``; bigger groups pay fewer steps but slower DA and rankings.
+_GROUP_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -224,16 +230,29 @@ class _Run:
                             rewards=self.rewards[:, lo:lo + n], **shared, **trace_fields)
             for seed, lo in zip(seeds, range(0, width, n))
         ]
-        # Each segment's (N, K) means, flat and repeated once per seed.
-        self.segment_means = [np.tile(np.ravel(means), len(seeds)) for _, _, means in segments]
-        # The seeds share no arms, so one DA call clears the batch as one market: arm a
-        # of seed s is arm s * K + a, its utility row arm a's repeated S times (K lists,
-        # each shared S times). Learner row r of seed s ranks it as arm_offset[r, a] + a,
-        # arm_offset holding s * K in every column (a full-shape add beats a broadcast).
+        # Each segment's (N, K) means, flat and repeated once per seed: row
+        # j of the table is segment j, cell s * N * K + i * K + a in it.
+        self.segment_means = np.tile([np.ravel(means) for _, _, means in segments], len(seeds))
+        self.segment_ends = [end for _, end, _ in segments]
+        # ``play`` advances up to ``group`` restart blocks in lockstep: learner
+        # row r = (b * S + s) * N + i is player i of seed s in block b, whose
+        # cells are r * K + a. The G * S markets m = r // N share no arms, so
+        # one DA call clears them as one: arm a of market m is arm m * K + a,
+        # its utility row arm a's repeated G * S times (K lists, each shared
+        # G * S times), ranked by row r as arm_offset[r, a] + a (m * K in
+        # every column: a full-shape add beats a broadcast).
         k = market.n_arms
-        self.batch_utilities = [row * len(seeds) for row in market.arm_utilities] * len(seeds)
-        self.arm_offset = np.repeat(np.arange(width) // n * k, k).reshape(width, k)
-        self.identity = (self.arm_offset + np.arange(k)).tolist()
+        self.group = max(1, min(config.horizon, _GROUP_CELLS // (width * k)))
+        subs = self.group * len(seeds)
+        self.utilities = [row * subs for row in market.arm_utilities] * subs
+        self.arm_offset = np.repeat(np.arange(subs * n) // n * k, k).reshape(subs * n, k)
+        self.cell_offset = np.arange(subs * n).reshape(self.group, width) * k
+        self.cell_base = self.cell_offset - self.arm_offset[:, 0].reshape(self.group, width)
+        # After a restart every UCB value is +inf, so every row ranks the arms
+        # by index: one market's DA gives every market's arms.
+        restart = player_proposing_da([list(range(k))] * n, market.arm_utilities)
+        self.restart_arms = np.tile(restart, subs).reshape(self.group, width)
+        self.restart_cells = self.cell_offset + self.restart_arms
 
     @np.errstate(divide="ignore")  # the UCB bonus of an unexplored arm is 1 / 0
     def play(self, start: int, end: int, period: int) -> None:
@@ -241,7 +260,7 @@ class _Run:
         restarting every learner when ``(t - start) % period == 0``, so at
         ``start`` too, and add the call to the schedule."""
         self.schedule.append((start, end, period))
-        n, k, utilities = self.market.n_players, self.market.n_arms, self.batch_utilities
+        n, k = self.market.n_players, self.market.n_arms
         matchings, rewards = self.matchings, self.rewards
         width = rewards.shape[1]
         # Each seed's noise for the whole range in one draw (the same stream
@@ -249,51 +268,66 @@ class _Run:
         rows = rewards[start - 1:end]
         for lo, rng in zip(range(0, width, n), self.rngs):
             rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
-        # Learner state: (S * N, K) pull counts, reward sums and negated means,
-        # row s * N + i for player i of seed s, also viewed flat with cell
-        # offsets[row] + a, and the block round count tau shared by all
-        # (restarts are synchronized). A round changes only the matched cells.
-        counts, sums, neg_means = (np.zeros((width, k)) for _ in range(3))
-        flat_counts, flat_sums, flat_neg = counts.ravel(), sums.ravel(), neg_means.ravel()
-        offsets = np.arange(width) * k
-        segments, segment_means = self.traces[0].segments, self.segment_means
-        seg_idx = tau = 0
-        flags = [1 if (t - start) % period == 0 else 0 for t in range(start, end + 1)]
-        # After a restart every UCB value is +inf, so the stable ranking is
-        # ascending arm index. One DA call per round clears the whole batch;
-        # DA depends only on the rankings (the utilities are fixed), so a
-        # round whose batch rankings repeat keeps last round's arms.
-        identity, arm_offset = self.identity, self.arm_offset
-        cell_base = offsets - arm_offset[:, 0]  # batch arm x of row r is cell cell_base[r] + x
-        last_rankings = last_arms = None
-        # A round followed by a restart, or the last round of this call (the
-        # learner state is local to it), leaves learner state nothing reads.
-        for t, restart, stale in zip(range(start, end + 1), flags, flags[1:] + [1]):
-            while segments[seg_idx][1] < t:
-                seg_idx += 1
-            if restart:
-                counts.fill(0)
-                sums.fill(0.0)
-                tau, rankings = 1, identity
+        # The blocks are independent runs on fixed noise, so a group of them
+        # takes one step per in-block round: step j plays round j + 1 of every
+        # block, rows lo + j + b * period, through strided row views.
+        ends = self.segment_ends
+        for lo in range(start - 1, end, self.group * period):  # the group's first row
+            blocks = min(self.group, -(-(end - lo) // period))
+            steps = min(period, end - lo)
+            last = min(steps, end - lo - (blocks - 1) * period)  # steps of the last block
+            cells, chosen, active = self.restart_cells[:blocks], self.restart_arms[:blocks], blocks
+            stop = lo + (blocks - 1) * period + 1  # one past the last active block's row
+            if steps > 1:  # else the only step, a restart, reads no learner state
+                # (G * S * N, K) pull counts, reward sums and negated means, also
+                # flat; tau = j + 1 is shared. A step changes only matched cells.
+                counts, sums, neg_means = (np.zeros((blocks * width, k)) for _ in range(3))
+                flat_counts, flat_sums, flat_neg = counts.ravel(), sums.ravel(), neg_means.ravel()
+                arm_offset = self.arm_offset[:len(counts)]
+                cell_base = self.cell_base[:blocks].ravel()
+                utilities = self.utilities[:len(counts) // n * k]
+                last_rankings = last_arms = None
+            # Each block's segment per step. Steps where one changes, and the
+            # step at which a partial last block drops out of the active prefix,
+            # cut the group's steps into runs of one means vector.
+            seg = bisect_left(ends, lo + 1)
+            if ends[seg] >= min(end, lo + blocks * period):  # all in one segment
+                means = self.segment_means[seg if blocks == 1 else [seg] * blocks].ravel()
+                segment, cuts = None, []
             else:
-                tau += 1
-                # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
-                # rounding is sign-symmetric; a count of 0 gives an infinite bonus
-                # over any finite mean an earlier block left, so -inf ties.
-                order = (neg_means - np.sqrt(1.5 * math.log(tau) / counts)).argsort(kind="stable")
-                rankings = (order + arm_offset).tolist()
-            if rankings != last_rankings:
-                arms = player_proposing_da(rankings, utilities)
-                if arms != last_arms:
-                    cells = cell_base + arms
-                last_rankings, last_arms = rankings, arms
-            row = rewards[t - 1]
-            row += segment_means[seg_idx].take(cells)
-            matchings[t - 1] = cells  # made arm indices after the loop
-            if not stale:
-                c, total = flat_counts[cells] + 1, flat_sums[cells] + row
-                flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
-        matchings[start - 1:end] -= offsets
+                segment = np.searchsorted(ends, np.minimum(end, np.arange(
+                    lo + 1, lo + 1 + steps)[:, None] + np.arange(blocks) * period))
+                cuts = (np.flatnonzero((segment[1:] != segment[:-1]).any(axis=1)) + 1).tolist()
+            cuts = sorted({0, last, steps, *cuts})
+            for first, after in zip(cuts, cuts[1:]):
+                if first == last:
+                    active, stop = active - 1, stop - period
+                    counts, neg_means = counts[:active * width], neg_means[:active * width]
+                    arm_offset, cell_base = arm_offset[:len(counts)], cell_base[:len(counts)]
+                if segment is not None:
+                    means = self.segment_means[segment[first]].ravel()
+                for j in range(first, after):
+                    if j:  # step 0 restarts: cells are restart_cells
+                        # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
+                        # rounding is sign-symmetric; a count of 0 gives -inf.
+                        order = (neg_means - np.sqrt(1.5 * math.log(j + 1) / counts)
+                                 ).argsort(kind="stable")
+                        rankings = (order + arm_offset).tolist()
+                        # DA depends only on the rankings (the utilities are fixed),
+                        # so a step whose rankings repeat keeps last step's arms.
+                        if rankings != last_rankings:
+                            arms = player_proposing_da(rankings, utilities)
+                            if arms != last_arms:
+                                cells = (cell_base + arms).reshape(active, width)
+                                chosen = cells - self.cell_offset[:active]
+                            last_rankings, last_arms = rankings, arms
+                    got = rewards[lo + j:stop + j:period]
+                    got += means[cells]
+                    matchings[lo + j:stop + j:period] = chosen
+                    # The last step's learner state is read by nothing.
+                    if j < steps - 1:
+                        c, total = flat_counts[cells] + 1, flat_sums[cells] + got
+                        flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
 
 
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:

@@ -1,11 +1,11 @@
 """UCB learners with restart semantics.
 
 State is the pull count and reward sum per arm (``UcbState`` keeps one
-player's; the engine's loop keeps (S * N, K) arrays and ranks by the same
-values, negated), plus the number of rounds elapsed since the last
-restart. The confidence bonus uses the natural log of that round count, so
-the first decision round after a restart carries a zero bonus (all arms
-are unexplored there anyway and rank as infinite).
+player's; the engine's loop keeps (G * S * N, K) arrays, a row per player,
+seed and lockstep block, ranked by the same values, negated) and the rounds
+elapsed since the last restart. The bonus uses the natural log of that
+round count, so the first decision round after a restart carries a zero
+bonus (all arms are unexplored there anyway and rank as infinite).
 """
 
 from __future__ import annotations

@@ -193,10 +193,11 @@ def test_every_round_is_stable_for_submitted_orderings(submitted_orderings):
 
 @pytest.mark.parametrize("period", [1, 50, 200])
 def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings, period):
-    """Restart rounds rank arms by index and a round whose batch rankings
-    repeat keeps last round's arms; every round of every seed still equals
-    the reference DA on the replayed orderings, and DA, called at most once
-    per round for the whole batch, is skipped on some rounds."""
+    """Restart steps take the identity ranking's DA, made once per run, and
+    a lockstep step whose rankings repeat keeps last step's arms; every
+    round of every seed still equals the reference DA on the replayed
+    orderings, and DA, called at most once per step for a whole group of
+    blocks and seeds, is called fewer times than there are rounds."""
     market, timeline = generate_instance(
         GeneratorSpec(seed=3, n_players=3, n_arms=4, delta=0.25, n_changes=0), 200)
     calls = []
@@ -222,10 +223,10 @@ def test_clearing_shortcuts_match_reference_da(monkeypatch, submitted_orderings,
 @given(st.data())
 def test_clearing_shortcuts_match_reference_da_on_generated_instances(submitted_orderings, data):
     """The loop ranks by negated running means updated at the matched cells
-    only, uses the identity ranking on restart rounds and skips DA for a
-    round whose batch rankings repeat; every round of every seed still
-    equals the reference DA on the orderings a reference ``UcbState``
-    replay submits.
+    only, takes the identity ranking's DA (made once per run) on restart
+    steps and skips DA for a lockstep step whose rankings repeat; every
+    round of every seed still equals the reference DA on the orderings a
+    reference ``UcbState`` replay submits.
     Neither run_rcb_seeds nor run_rcb_meta warns (a count of 0 divides by zero)
     or leaves numpy's error state changed."""
     n = data.draw(st.integers(1, 6), label="N")
@@ -264,8 +265,8 @@ def test_clearing_shortcuts_match_reference_da_on_generated_instances(submitted_
             run_rcb_meta(replace(config, restart_period=None), market, timeline)
     assert np.geterr() == error_state
     if period == 1:
-        # Every round restarts, so every round submits the batch's identity
-        # ranking: one DA call for the whole run_rcb_seeds (one play) call.
+        # Every round restarts, so every step is a restart step: the only DA
+        # call is the identity ranking's, made once per run.
         assert da_calls == 1
     for trace in traces:
         rounds = zip(trace.matchings.tolist(), submitted_orderings(trace, market.n_arms))
@@ -315,6 +316,46 @@ def test_batched_runs_equal_sequential_runs(data):
             assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
         assert trace.schedule == alone.schedule
         assert trace.restart_period == alone.restart_period
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_lockstep_groups_equal_one_block_per_group(data):
+    """``play`` advances groups of restart blocks in lockstep, each group at
+    most ``_GROUP_CELLS`` learner cells. One block per group, every block in
+    one group and a drawn group size give equal matchings, rewards,
+    schedules and meta epoch summaries bit for bit: for rcb batches of 1-3
+    seeds with repeats, meta runs (whose epochs are rarely multiples of the
+    period), each noise family, K >= N, periods up to beyond T and partial
+    last blocks, also alone in the last group."""
+    n = data.draw(st.integers(1, 3), label="N")
+    k = data.draw(st.integers(n, 5), label="K")
+    horizon = data.draw(st.integers(1, 80), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    period = data.draw(st.sampled_from([1, horizon, horizon + 3]) | st.integers(1, horizon),
+                       label="H")
+    config = SimulationConfig(horizon, restart_period=period,
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"))
+    seeds = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3), label="seeds")
+    # With blocks - 1 blocks per group a partial last block is its group's only one.
+    blocks = -(-horizon // min(period, horizon))
+    group = data.draw(st.sampled_from([max(1, blocks - 1)]) | st.integers(1, blocks),
+                      label="blocks per group")
+    runs = []
+    for cells in (1, group * len(seeds) * n * k, horizon * len(seeds) * n * k):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_GROUP_CELLS", cells)
+            traces = run_rcb_seeds(config, market, timeline, seeds)
+            if horizon > 1:
+                traces.append(run_rcb_meta(replace(config, restart_period=None, seed=seeds[0]),
+                                           market, timeline))
+        runs.append([(t.matchings.tobytes(), t.rewards.tobytes(), t.schedule,
+                      repr(t.epoch_summaries)) for t in traces])
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_batched_run_rejects_empty_seed_list():
