@@ -268,6 +268,14 @@ def _events(text: str) -> tuple[ChangeEvent, ...]:
     return tuple(events)
 
 
+def _path(text: str) -> str:
+    """A path on one line: a line break would end the ``# out =`` comment
+    line of the trace header and split the echo."""
+    if "\n" in text or "\r" in text:
+        raise ValueError(f"must be one line, got {text!r}")
+    return text
+
+
 def _joined(fmt: Callable[[Any], str], sep: str) -> Callable[[Any], str]:
     return lambda values: sep.join(fmt(v) for v in values)
 
@@ -300,7 +308,7 @@ _GRAMMAR = {
         _Key("baseline", "baseline", partial(_one_of, BASELINES), "pessimal"),
         _Key("noise", "noise", partial(_one_of, NOISE_FAMILIES), "gaussian"),
         # A '%' echoes as '%%', the escape that parses back to it.
-        _Key("out", "out_dir", str, ".", lambda out: out.replace("%", "%%")),
+        _Key("out", "out_dir", _path, ".", lambda out: out.replace("%", "%%")),
     ),
     "generator": (
         _Key("seed", "seed", partial(_number, kind=int, minimum=0), "0"),

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,7 +140,7 @@ class RegretReport:
     increments: np.ndarray  # (T, N)
     cumulative: np.ndarray  # (T, N)
     block_sums: np.ndarray  # (blocks, N)
-    block_bounds: tuple[tuple[int, int], ...]  # 1-based inclusive round ranges
+    block_bounds: np.ndarray  # (blocks, 2) int64, 1-based inclusive round ranges
 
     def final(self) -> np.ndarray:
         """Cumulative regret per player at the horizon."""
@@ -342,15 +341,14 @@ def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> Reg
     cumulative = np.cumsum(increments, axis=0)
 
     # Each block's first row, 0-based.
-    starts = [s for start, end, period in trace.schedule for s in range(start - 1, end, period)]
-    bounds = [(s + 1, e) for s, e in zip(starts, starts[1:] + [trace.horizon])]
-    block_sums = np.add.reduceat(increments, starts, axis=0)
+    starts = np.concatenate([np.arange(start - 1, end, period)
+                             for start, end, period in trace.schedule])
     return RegretReport(
         baseline=baseline,
         increments=increments,
         cumulative=cumulative,
-        block_sums=block_sums,
-        block_bounds=tuple(bounds),
+        block_sums=np.add.reduceat(increments, starts, axis=0),
+        block_bounds=np.column_stack((starts + 1, np.append(starts[1:], trace.horizon))),
     )
 
 
@@ -378,13 +376,14 @@ def write_trace_csv(trace: SimulationTrace, path,
     depend only on its (player, matched arm) cell, so they come from one
     string table per segment. The schedule gives each round's block and
     restart flag, and in meta mode its epoch and period. Up to
-    ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time."""
+    ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time,
+    from a list of six parts per row filled one column at a time."""
     report = regret_report(trace)
     n, k = trace.n_players, len(trace.segments[0][2][0])
-    offsets, players = np.arange(n) * k, range(n)
+    offsets = np.arange(n) * k
     is_meta = trace.epoch_summaries is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
-    player_arm = [f"{p},{a}," for p in players for a in range(k)]  # cell p * K + a
+    player_arm = [f"{p},{a}," for p in range(n) for a in range(k)]  # cell p * K + a
     # ",true_mean,benchmark_arm,regret_increment," of cell p * K + a in
     # segment s at s * N * K + p * K + a; the increment is regret_report's
     # subtraction.
@@ -403,20 +402,24 @@ def write_trace_csv(trace: SimulationTrace, path,
                 rounds = np.arange(lo + 1, hi + 1)
                 cells = (trace.matchings[lo:hi] + offsets).ravel()
                 segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
-                # Round t is round i of this play call, counting from 0.
-                heads = [f"{t},{first_block + i // period},{int(i % period == 0)},"
-                         for i, t in enumerate(rounds.tolist(), lo + 1 - start)]
                 # Cumulative regret takes few distinct values: repr each distinct
                 # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
                 bits, inverse = np.unique(report.cumulative[lo:hi].ravel().view(np.int64),
                                           return_inverse=True)
                 distinct = [repr(v) for v in bits.view(np.float64).tolist()]
-                fh.write("".join(chain.from_iterable(zip(
-                    (h for h in heads for _ in players),
-                    map(player_arm.__getitem__, cells.tolist()),
-                    map(repr, trace.rewards[lo:hi].ravel().tolist()),
-                    map(tables.__getitem__, segment_cells.tolist()),
-                    map(distinct.__getitem__, inverse.tolist()), repeat(tail),
-                ))))
+                # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
+                # each column fills its parts with one strided slice assignment.
+                parts = [tail] * (6 * len(cells))
+                i = rounds - start  # round t is round i of this play call, from 0
+                blocks, flags = first_block + i // period, (i % period == 0).astype(np.int64)
+                heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(),
+                                 flags.tolist()))
+                for p in range(n):
+                    parts[6 * p::6 * n] = heads
+                parts[1::6] = map(player_arm.__getitem__, cells.tolist())
+                parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
+                parts[3::6] = map(tables.__getitem__, segment_cells.tolist())
+                parts[4::6] = map(distinct.__getitem__, inverse.tolist())
+                fh.write("".join(parts))
             first_block += len(range(start, end + 1, period))
     return report

@@ -147,7 +147,12 @@ def run_rcb_meta(
         start = epoch * ensemble.epoch_length + 1
         end = min(horizon, (epoch + 1) * ensemble.epoch_length)
         run.play(start, end, period)
-        epoch_reward = sum(sum(r) for r in trace.rewards[start - 1:end].tolist())
+        # Each round's rewards summed left to right from 0, then the round sums
+        # in order, as sum(sum(r) for r in rows.tolist()) does; np.sum pairs.
+        row_sums = 0.0 + trace.rewards[start - 1:end, 0]
+        for column in trace.rewards[start - 1:end, 1:].T:
+            row_sums += column
+        epoch_reward = float(np.cumsum(row_sums)[-1])
         reward = min(1.0, max(0.0, epoch_reward / norm))
         exp3_update(exp3, arm, reward)
         trace.epoch_summaries.append(

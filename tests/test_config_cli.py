@@ -684,6 +684,19 @@ def test_cli_out_path_that_cannot_be_a_directory_fails_before_running(
     assert runs == []
 
 
+@pytest.mark.parametrize("command", [["validate"], ["run"], ["sweep", "--grid", "H=5,20"]],
+                         ids=["validate", "run", "sweep"])
+def test_cli_rejects_line_break_in_out(tmp_path, capsys, command):
+    """A continuation line would put a line break in the output directory's
+    name, and an unprefixed line in the trace CSV's comment header; the
+    key fails validation instead, and no directory is made."""
+    outs = tmp_path / "outs"
+    text = EXPLICIT_CONFIG.replace("version = 1", f"version = 1\nout = {outs}/o\n    second")
+    assert main(command + ["--config", str(write_config(tmp_path, text))]) == 1
+    assert "[experiment] out" in capsys.readouterr().err
+    assert not outs.exists()
+
+
 def test_cli_oracle_check_exits_zero(capsys):
     assert main(["oracle-check", "--instances", "20", "--sizes", "2,3", "--seed", "1"]) == 0
     assert "oracle check passed" in capsys.readouterr().out

@@ -445,14 +445,14 @@ def test_block_sums_partition_the_increments():
     market, timeline = conflict_setup(50)
     trace = run_rcb(SimulationConfig(50, restart_period=12, seed=0), market, timeline)
     report = regret_report(trace)
-    assert report.block_bounds == ((1, 12), (13, 24), (25, 36), (37, 48), (49, 50))
+    assert report.block_bounds.tolist() == [[1, 12], [13, 24], [25, 36], [37, 48], [49, 50]]
     assert np.allclose(report.block_sums.sum(axis=0), report.final())
 
 
 def scanned_block_bounds(trace):
     """Block bounds from a scan of the per-round restart flags."""
     starts = [t for t, flag in enumerate(schedule_columns(trace)[1], start=1) if flag]
-    return tuple(zip(starts, [s - 1 for s in starts[1:]] + [trace.horizon]))
+    return [[s, e] for s, e in zip(starts, [s - 1 for s in starts[1:]] + [trace.horizon])]
 
 
 def test_block_bounds_follow_the_restart_flags():
@@ -465,7 +465,7 @@ def test_block_bounds_follow_the_restart_flags():
     for trace in traces:
         assert trace.schedule is traces[0].schedule == [(1, 50, 12)]
         assert trace.epoch_summaries is None
-        assert regret_report(trace).block_bounds == scanned_block_bounds(trace)
+        assert regret_report(trace).block_bounds.tolist() == scanned_block_bounds(trace)
 
     market, timeline = conflict_setup(120, (ChangeEvent(60, 0, 1, 0.95),))
     trace = run_rcb_meta(SimulationConfig(120, seed=4), market, timeline)
@@ -474,8 +474,8 @@ def test_block_bounds_follow_the_restart_flags():
     assert [(start, end) for start, end, _ in trace.schedule] == [
         (s, min(s + 10, 120)) for s in range(1, 121, 11)]
     report = regret_report(trace)
-    assert report.block_bounds == scanned_block_bounds(trace)
-    for (lo, hi), sums in zip(report.block_bounds, report.block_sums):
+    assert report.block_bounds.tolist() == scanned_block_bounds(trace)
+    for (lo, hi), sums in zip(report.block_bounds.tolist(), report.block_sums):
         assert np.allclose(sums, report.increments[lo - 1:hi].sum(axis=0))
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from competing_bandits import (
     Exp3State,
@@ -20,6 +22,8 @@ from competing_bandits import (
     run_rcb_meta,
     write_epoch_summary_csv,
 )
+from competing_bandits.config import GeneratorSpec, generate_instance
+from competing_bandits.environment import NOISE_FAMILIES
 from competing_bandits.meta import default_gamma
 from trace_oracle import schedule_columns
 
@@ -186,7 +190,7 @@ def test_epoch_bookkeeping_consistent():
         offset = t - epoch * ensemble.epoch_length
         assert flags[t] == (offset % periods[t] == 0)
     # The regret report's blocks start at exactly the flagged rounds.
-    assert [lo for lo, _ in regret_report(trace).block_bounds] == [
+    assert [lo for lo, _ in regret_report(trace).block_bounds.tolist()] == [
         t for t, flag in enumerate(flags, start=1) if flag]
 
 
@@ -196,6 +200,45 @@ def test_normalized_rewards_in_unit_interval():
     for summary in trace.epoch_summaries:
         assert 0.0 <= summary.normalized_reward <= 1.0
         assert sum(summary.probabilities) == pytest.approx(1.0)
+
+
+def left_to_right_sum(values):
+    """``sum(values)`` as Python 3.10 and 3.11 compute it: one add per value,
+    in order, from 0 (3.12 and later compensate float sums)."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_epoch_reward_sums_rows_left_to_right(data):
+    """Each epoch's normalized reward is bit for bit the clipped
+    ``sum(sum(r) for r in rows.tolist()) / norm`` over the epoch's reward
+    rows, with norm = N * epoch_length * mu_bar: each row summed from 0 left
+    to right, then the row sums in order. Markets with K >= N, every noise
+    family, and horizons whose last epoch is short."""
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    horizon = data.draw(st.integers(2, 200).filter(
+        lambda t: t % build_ensemble(t).epoch_length), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"),
+                         mu_bar=data.draw(st.sampled_from([0.5, 1.0, 10.0]), label="mu_bar"))
+    market, timeline = generate_instance(spec, horizon)
+    config = SimulationConfig(horizon, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"))
+    trace = run_rcb_meta(config, market, timeline)
+    ensemble = build_ensemble(horizon)
+    norm = n * ensemble.epoch_length * timeline.mu_bar
+    assert len(trace.schedule) == len(trace.epoch_summaries) == ensemble.epoch_count
+    for (start, end, _), summary in zip(trace.schedule, trace.epoch_summaries):
+        rows = trace.rewards[start - 1:end].tolist()
+        total = left_to_right_sum(left_to_right_sum(r) for r in rows)
+        assert summary.normalized_reward == min(1.0, max(0.0, total / norm))
+        assert type(summary.normalized_reward) is float
 
 
 def test_meta_run_deterministic_per_seed():
