@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, check_mode, echo_config, parse_config, resolve_instance
+from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
 from .environment import MeanRewardTimeline
@@ -78,9 +78,9 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
             market, timeline = resolve(value if grid_key == "T" else None,
                                        value if grid_key == "L" else None)
             sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
-            points.append((value, market, timeline, sim))
         except InputError as exc:
-            raise type(exc)(f"--grid {grid_key}={value}: {exc}") from None
+            raise type(exc)(exc.message, f"--grid {grid_key}={value}") from None
+        points.append((value, market, timeline, sim))
     return points
 
 
@@ -167,20 +167,12 @@ def _print_echo(config: ExperimentConfig) -> None:
         print(f"  {key} = {value}")
 
 
-def _int_list(text: str, flag: str, minimum: Optional[int] = None,
-              maximum: Optional[int] = None, distinct: bool = False) -> list[int]:
+def _int_list(text: str, flag: str) -> list[int]:
     """The integers of a comma-separated flag value; InputError names the flag."""
     try:
-        values = [int(v) for v in text.split(",")]
+        return [int(v) for v in text.split(",")]
     except ValueError:
-        raise InputError(f"{flag}: expected comma-separated integers, got {text!r}")
-    if minimum is not None and min(values) < minimum:
-        raise InputError(f"{flag}: values must be at least {minimum}, got {text!r}")
-    if maximum is not None and max(values) > maximum:
-        raise InputError(f"{flag}: values must be at most {maximum}, got {text!r}")
-    if distinct and len(set(values)) < len(values):
-        raise InputError(f"{flag}: values must not repeat, got {text!r}")
-    return values
+        raise InputError(f"expected comma-separated integers, got {text!r}", flag) from None
 
 
 def _out_dir(args, config: ExperimentConfig) -> Path:
@@ -191,8 +183,8 @@ def _out_dir(args, config: ExperimentConfig) -> Path:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         source = "--out" if args.out else "[experiment] out"
-        raise InputError(f"{source}: cannot make directory {str(out_dir)!r}: "
-                         f"{exc.strerror}") from None
+        raise InputError(f"cannot make directory {str(out_dir)!r}: {exc.strerror}",
+                         source) from None
     return out_dir
 
 
@@ -206,12 +198,14 @@ def _cmd_validate(args) -> int:
 def _cmd_run(args) -> int:
     config = parse_config(args.config)
     # Overrides replace config fields, so the echo and trace headers show what ran.
+    overrides = {} if args.mode is None else {"mode": args.mode}
     if args.seed is not None:
-        config = replace(config, seeds=tuple(_int_list(args.seed, "--seed", minimum=0,
-                                                       distinct=True)))
-    if args.mode is not None:
-        config = replace(config, mode=args.mode)
-        check_mode(config.mode, config.horizon, config.restart_period, f"--mode {args.mode}")
+        overrides["seeds"] = tuple(_int_list(args.seed, "--seed"))
+    try:
+        config = replace(config, **overrides)
+    except InputError as exc:  # a seeds rule, or a meta rule that --mode brought in
+        raise type(exc)(exc.message, "--seed" if exc.field == "seeds"
+                        else f"--mode {args.mode}") from None
     out_dir = _out_dir(args, config)
     _print_echo(config)
     metadata = echo_config(config)
@@ -234,8 +228,9 @@ def _cmd_sweep(args) -> int:
     if not eq:
         raise InputError("--grid must look like KEY=v1,v2,... with integer values")
     grid_key = grid_key.strip()
-    grid_values = _int_list(raw, f"--grid {grid_key}", minimum=0 if grid_key == "L" else 1,
-                            distinct=True)
+    grid_values = _int_list(raw, f"--grid {grid_key}")
+    if len(set(grid_values)) < len(grid_values):
+        raise InputError(f"values must not repeat, got {raw!r}", f"--grid {grid_key}")
     points = _sweep_points(config, grid_key, grid_values)
     out_dir = _out_dir(args, config)
     rows = _sweep_rows(config, points)
@@ -249,11 +244,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes", minimum=1, maximum=ENUMERATION_LIMIT)
+    sizes = _int_list(args.sizes, "--sizes")
+    if min(sizes) < 1:
+        raise InputError(f"values must be at least 1, got {args.sizes!r}", "--sizes")
+    if max(sizes) > ENUMERATION_LIMIT:
+        raise InputError(f"values must be at most {ENUMERATION_LIMIT}, got {args.sizes!r}",
+                         "--sizes")
     if args.instances < 1:
-        raise InputError(f"--instances: must be at least 1, got {args.instances}")
+        raise InputError(f"must be at least 1, got {args.instances}", "--instances")
     if args.seed < 0:
-        raise InputError(f"--seed: must be non-negative, got {args.seed}")
+        raise InputError(f"must be non-negative, got {args.seed}", "--seed")
     mismatches = oracle_check(args.instances, sizes, args.seed)
     if mismatches:
         for line in mismatches:

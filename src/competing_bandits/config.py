@@ -21,6 +21,7 @@ from .engine import BASELINES
 from .environment import NOISE_FAMILIES, ChangeEvent, MeanRewardTimeline
 from .errors import ConfigError, InputError, _check_integer
 from .market import MarketInstance
+from .meta import build_ensemble
 
 CONFIG_VERSION = 1
 
@@ -47,37 +48,42 @@ class GeneratorSpec:
 
     def __post_init__(self):
         for name in ("seed", "n_players", "n_arms", "n_changes"):
-            try:
-                _check_integer(f"generator: {name}", getattr(self, name))
-            except InputError as exc:
-                raise ConfigError(str(exc)) from None
+            _check_integer(name, getattr(self, name), ConfigError)
         if self.seed < 0:
-            raise ConfigError(f"generator: seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"must be at least 0, got {self.seed}", "seed")
         for name, value in (("delta", self.delta), ("mu_bar", self.mu_bar),
                             *(("change_fractions", f) for f in self.change_fractions or ())):
             if not math.isfinite(value):
-                raise ConfigError(f"generator: {name} must be finite, got {value}")
+                raise ConfigError(f"must be finite, got {value}", name)
         if self.n_players < 1:
-            raise ConfigError("generator: n_players must be positive")
+            raise ConfigError("must be positive", "n_players")
         if self.n_arms < self.n_players:
-            raise ConfigError(f"[generator] n_arms: market requires K >= N, "
-                              f"got K = {self.n_arms} < N = {self.n_players}")
+            raise ConfigError(f"market requires K >= N, got K = {self.n_arms} < "
+                              f"N = {self.n_players}", "n_arms")
         if self.delta <= 0:
-            raise ConfigError("generator: delta floor must be positive")
+            raise ConfigError("floor must be positive", "delta")
         if self.n_changes < 0:
-            raise ConfigError("generator: changes cannot be negative")
+            raise ConfigError("cannot be negative", "n_changes")
         if self.n_arms * self.delta > self.mu_bar:
             raise ConfigError(
-                "generator: delta floor infeasible, need n_arms * delta <= mu_bar "
-                f"({self.n_arms} * {self.delta} = {self.n_arms * self.delta} > {self.mu_bar})"
-            )
+                "floor infeasible, need n_arms * delta <= mu_bar "
+                f"({self.n_arms} * {self.delta} = {self.n_arms * self.delta} > {self.mu_bar})",
+                "delta")
         if self.change_fractions is not None and len(self.change_fractions) != self.n_changes:
-            raise ConfigError("generator: change_fractions length must equal changes")
+            raise ConfigError("length must equal changes", "change_fractions")
+
+    def check_horizon(self, horizon: int, owner: str = "") -> None:
+        """ConfigError naming ``owner`` + field unless the changes fit in [2, horizon]."""
+        if self.n_changes > max(0, horizon - 1):
+            field = "n_changes" if self.change_fractions is None else "change_fractions"
+            raise ConfigError(f"cannot place {self.n_changes} changes at distinct times "
+                              f"in [2, {horizon}]", owner + field)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description. An error names the field,
+    as ``generator.<field>`` for a field of a section object."""
 
     version: int
     mode: str
@@ -90,6 +96,25 @@ class ExperimentConfig:
     timeline: Optional[MeanRewardTimeline] = None
     generator: Optional[GeneratorSpec] = None
     out_dir: str = "."
+
+    def __post_init__(self):
+        if not self.seeds:
+            raise ConfigError("need at least one seed", "seeds")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"must be at least 0, got {min(self.seeds)}", "seeds")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"must not repeat, got {self.seeds}", "seeds")
+        if self.mode == "meta" and self.restart_period is not None:
+            raise ConfigError("meta mode tunes the restart_period itself; it must be 'auto', "
+                              f"got {self.restart_period}", "restart_period")
+        if self.mode == "meta":
+            build_ensemble(self.horizon)  # the meta loop's own check: T >= 2
+        if self.generator is not None:
+            self.generator.check_horizon(self.horizon, "generator.")
+        elif (self.market is not None and self.timeline is not None
+              and (self.timeline.n_players, self.timeline.n_arms)
+              != (self.market.n_players, self.market.n_arms)):
+            raise ConfigError("shape disagrees with [market] sizes", "timeline.initial_means")
 
 
 def _allowed_intervals(others: Sequence[float], delta: float, lo: float, hi: float):
@@ -136,14 +161,8 @@ def generate_instance(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
+    spec.check_horizon(horizon)
     n, k, t_max = spec.n_players, spec.n_arms, horizon
-    if spec.n_changes > 0 and t_max < 2:
-        raise InputError("cannot place change events on a horizon shorter than 2")
-    if spec.n_changes > max(0, t_max - 1):
-        field = "changes" if spec.change_fractions is None else "change_fractions"
-        raise InputError(
-            f"cannot place {spec.n_changes} {field} at distinct times in [2, {t_max}]"
-        )
 
     utilities = tuple(tuple(float(v) for v in rng.permutation(n)) for _ in range(k))
     market = MarketInstance(n, k, utilities)
@@ -160,8 +179,7 @@ def generate_instance(
     if spec.change_fractions is not None:
         times = []
         for f in spec.change_fractions:
-            t = int(round(f * t_max))
-            t = max(2, min(t_max, t))
+            t = round(max(2, min(t_max, f * t_max)))  # clamped first: f * t_max may be inf
             # A time taken by an earlier fraction moves to the nearest free
             # round above it, or else below it.
             up = (u for u in range(t, t_max + 1) if u not in times)
@@ -235,17 +253,9 @@ def _number(text: str, kind: type = float, minimum: Optional[int] = None):
     return value
 
 
-def _numbers(text: str, kind: type = float, minimum: Optional[int] = None) -> tuple:
+def _numbers(text: str, kind: type = float) -> tuple:
     """Numbers separated by commas or whitespace."""
-    return tuple(_number(v, kind, minimum) for v in text.replace(",", " ").split())
-
-
-def _seeds(text: str) -> tuple[int, ...]:
-    if not (seeds := _numbers(text, int, minimum=0)):
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) < len(seeds):
-        raise ValueError(f"seeds must not repeat, got {text!r}")
-    return seeds
+    return tuple(_number(v, kind) for v in text.replace(",", " ").split())
 
 
 def _one_of(options: Sequence, value):
@@ -304,14 +314,14 @@ _GRAMMAR = {
         _Key("horizon", "horizon", partial(_number, kind=int, minimum=1), _REQUIRED),
         _Key("restart_period", "restart_period",
              lambda t: None if t == "auto" else _number(t, int, minimum=1), "auto"),
-        _Key("seeds", "seeds", _seeds, "0", _joined(str, ",")),
+        _Key("seeds", "seeds", partial(_numbers, kind=int), "0", _joined(str, ",")),
         _Key("baseline", "baseline", partial(_one_of, BASELINES), "pessimal"),
         _Key("noise", "noise", partial(_one_of, NOISE_FAMILIES), "gaussian"),
         # A '%' echoes as '%%', the escape that parses back to it.
         _Key("out", "out_dir", _path, ".", lambda out: out.replace("%", "%%")),
     ),
     "generator": (
-        _Key("seed", "seed", partial(_number, kind=int, minimum=0), "0"),
+        _Key("seed", "seed", partial(_number, kind=int), "0"),
         _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
         _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
         _Key("delta", "delta", _number, _REQUIRED, repr),
@@ -320,7 +330,7 @@ _GRAMMAR = {
         _Key("change_fractions", "change_fractions", _numbers, None, _joined(repr, ",")),
     ),
     "market": (
-        _Key("n_players", "n_players", partial(_number, kind=int, minimum=1), _REQUIRED),
+        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
         _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
         _Key("arm_utilities", "arm_utilities", _matrix, _REQUIRED, _matrix_text),
     ),
@@ -338,12 +348,12 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict[str, Any
     unknown section or key, a missing required key or a bad value raises
     ConfigError naming ``[name] key``."""
     if name not in _GRAMMAR:
-        raise ConfigError(f"[{name}]: unknown section; expected one of {', '.join(_GRAMMAR)}")
+        raise ConfigError(f"unknown section; expected one of {', '.join(_GRAMMAR)}", f"[{name}]")
     section, keys = parser[name], _GRAMMAR[name]
     for key in section:
         if key not in {row.key for row in keys}:
-            raise ConfigError(f"[{name}] {key}: unknown key; expected one of "
-                              + ", ".join(row.key for row in keys))
+            raise ConfigError("unknown key; expected one of " + ", ".join(row.key for row in keys),
+                              f"[{name}] {key}")
     fields = {}
     for row in keys:
         try:
@@ -352,19 +362,19 @@ def _read_section(parser: configparser.ConfigParser, name: str) -> dict[str, Any
                 raise ValueError("required key is missing")
             fields[row.field] = None if text is None else row.parse(text.strip())
         except (ValueError, configparser.Error) as exc:
-            raise ConfigError(f"[{name}] {row.key}: {exc}") from None
+            raise ConfigError(str(exc), f"[{name}] {row.key}") from None
     return fields
 
 
-def check_mode(mode: str, horizon: int, restart_period: Optional[int], source: str = "") -> None:
-    """Meta mode tunes the restart period itself and needs T >= 2; errors
-    name ``source`` (the flag that set the mode) or the [experiment] key."""
-    if mode == "meta" and restart_period is not None:
-        raise ConfigError(f"{source or '[experiment] restart_period'}: meta mode tunes the "
-                          f"restart_period itself; it must be 'auto', got {restart_period}")
-    if mode == "meta" and horizon < 2:
-        raise ConfigError(f"{source or '[experiment] horizon'}: meta mode needs a horizon "
-                          f"of at least 2, got {horizon}")
+def _build(name: str, make: Callable, fields: dict[str, Any]):
+    """``make(**fields)``, the object of section ``name``. An InputError
+    becomes a ConfigError naming the ``[section] key`` of its field."""
+    try:
+        return make(**fields)
+    except InputError as exc:
+        section, field = f"{name}.{exc.field}".split(".")[-2:]  # "generator.n_changes"
+        key = next((row.key for row in _GRAMMAR[section] if row.field == field), None)
+        raise ConfigError(exc.message, f"[{section}] {key}" if key else f"[{section}]") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -385,28 +395,20 @@ def parse_config(path) -> ExperimentConfig:
     sections = {name: _read_section(parser, name) for name in parser.sections()}
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    fields = sections.pop("experiment")
-    check_mode(fields["mode"], fields["horizon"], fields["restart_period"])
+    # [experiment]'s rules first, then each instance section's, then the rest.
+    config = _build("experiment", ExperimentConfig, sections.pop("experiment"))
     if "generator" in sections:
         if len(sections) > 1:
             raise ConfigError("config must use either [market]+[timeline] or [generator], not both")
-        return ExperimentConfig(**fields, generator=GeneratorSpec(**sections["generator"]))
-    for name in ("market", "timeline"):
-        if name not in sections:
-            raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
-    if (k := sections["market"]["n_arms"]) < (n := sections["market"]["n_players"]):
-        raise ConfigError(f"[market] n_arms: market requires K >= N, got K = {k} < N = {n}")
-    try:
-        market = MarketInstance(**sections["market"])
-    except InputError as exc:
-        raise ConfigError(f"[market] arm_utilities: {exc}")
-    try:
-        timeline = MeanRewardTimeline(fields["horizon"], **sections["timeline"])
-    except InputError as exc:
-        raise ConfigError(f"[timeline]: {exc}")
-    if timeline.n_players != market.n_players or timeline.n_arms != market.n_arms:
-        raise ConfigError("[timeline] initial_means shape disagrees with [market] sizes")
-    return ExperimentConfig(**fields, market=market, timeline=timeline)
+        instance = {"generator": _build("generator", GeneratorSpec, sections["generator"])}
+    else:
+        for name in ("market", "timeline"):
+            if name not in sections:
+                raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
+        instance = {"market": _build("market", MarketInstance, sections["market"]),
+                    "timeline": _build("timeline", partial(MeanRewardTimeline, config.horizon),
+                                       sections["timeline"])}
+    return _build("experiment", partial(replace, config), instance)
 
 
 def echo_config(config: ExperimentConfig) -> list[tuple[str, str]]:

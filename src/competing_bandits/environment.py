@@ -60,16 +60,16 @@ class MeanRewardTimeline:
     ):
         _check_integer("horizon", horizon)
         if horizon < 1:
-            raise InputError("horizon must be at least 1")
+            raise InputError(f"must be at least 1, got {horizon}", "horizon")
         if not 0 < mu_bar < math.inf:
-            raise InputError(f"mu_bar must be positive and finite, got {mu_bar}")
+            raise InputError(f"must be positive and finite, got {mu_bar}", "mu_bar")
         means = tuple(tuple(float(v) for v in row) for row in initial_means)
         n = len(means)
         if n == 0:
-            raise InputError("initial_means must have at least one player row")
+            raise InputError("must have at least one player row", "initial_means")
         k = len(means[0])
         if any(len(row) != k for row in means):
-            raise InputError("initial_means rows must all have the same length")
+            raise InputError("rows must all have the same length", "initial_means")
 
         self.horizon = int(horizon)
         self.mu_bar = float(mu_bar)
@@ -81,45 +81,36 @@ class MeanRewardTimeline:
         self._validate_and_build_segments()
 
     def _validate_and_build_segments(self):
-        self._check_matrix(self.initial_means, segment_start=1)
+        self._check_matrix(self.initial_means, 1, "initial_means")
         current = [list(row) for row in self.initial_means]
         # (first round, means) of every segment, one per distinct event time.
         points = [(1, self.initial_means)]
         for t, group in itertools.groupby(self.events, key=operator.attrgetter("time")):
             if not (2 <= t <= self.horizon):
-                raise InputError(f"event time {t} outside [2, {self.horizon}]")
+                raise InputError(f"event time {t} outside [2, {self.horizon}]", "events")
             for ev in group:
                 if not (0 <= ev.player < self.n_players and 0 <= ev.arm < self.n_arms):
-                    raise InputError(f"event at t={t} has out-of-range indices")
-                if not (0.0 <= ev.new_mean <= self.mu_bar):
-                    raise AssumptionError(
-                        f"event at t={t} sets mean {ev.new_mean} outside [0, {self.mu_bar}]"
-                    )
+                    raise InputError(f"event at t={t} has out-of-range indices", "events")
                 if ev.new_mean == current[ev.player][ev.arm]:
-                    raise InputError(
-                        f"event at t={t} for player {ev.player}, arm {ev.arm} "
-                        "does not change the mean"
-                    )
+                    raise InputError(f"event at t={t} for player {ev.player}, arm {ev.arm} "
+                                     "does not change the mean", "events")
                 current[ev.player][ev.arm] = ev.new_mean
             frozen = tuple(tuple(row) for row in current)
-            self._check_matrix(frozen, segment_start=t)
+            self._check_matrix(frozen, t, "events")
             points.append((t, frozen))
         ends = [start - 1 for start, _ in points[1:]] + [self.horizon]
         self._segments = tuple((start, end, means) for (start, means), end in zip(points, ends))
 
-    def _check_matrix(self, means, segment_start):
+    def _check_matrix(self, means, segment_start, field):
         for i, row in enumerate(means):
             for v in row:
                 if not (0.0 <= v <= self.mu_bar):
-                    raise AssumptionError(
-                        f"player {i}: mean {v} outside [0, {self.mu_bar}] "
-                        f"in segment starting at t={segment_start}"
-                    )
+                    raise AssumptionError(f"player {i}: mean {v} outside [0, {self.mu_bar}] "
+                                          f"in segment starting at t={segment_start}", field)
             if len(set(row)) != len(row):
                 raise AssumptionError(
-                    f"player {i}: duplicate arm means in segment starting at "
-                    f"t={segment_start} (minimum-gap assumption needs distinct means)"
-                )
+                    f"player {i}: duplicate arm means in segment starting at t={segment_start} "
+                    "(minimum-gap assumption needs distinct means)", field)
 
     def segments(self) -> list[tuple[int, int, tuple[tuple[float, ...], ...]]]:
         """Maximal constant segments as (first round, last round, means)."""
@@ -141,17 +132,6 @@ def total_changes(timeline: MeanRewardTimeline) -> int:
     their cell, so every event is exactly one change indicator.
     """
     return len(timeline.events)
-
-
-def min_gap(timeline: MeanRewardTimeline) -> float:
-    """Smallest |mu_i(k) - mu_i(k')| over all segments, players, arm pairs."""
-    gap = math.inf
-    for _, _, means in timeline._segments:
-        for row in means:
-            vals = sorted(row)
-            for a, b in zip(vals, vals[1:]):
-                gap = min(gap, b - a)
-    return gap
 
 
 def draw_noise(rng: np.random.Generator, noise: str, n: int) -> np.ndarray:

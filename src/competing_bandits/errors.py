@@ -2,6 +2,7 @@
 raises one."""
 
 import operator
+from typing import Optional
 
 
 class CompetingBanditsError(Exception):
@@ -9,7 +10,12 @@ class CompetingBanditsError(Exception):
 
 
 class InputError(CompetingBanditsError, ValueError):
-    """Malformed or mutually inconsistent inputs."""
+    """Malformed or mutually inconsistent inputs. ``field``, if given, names
+    the rejected input: an object's field, a ``[section] key`` or a flag."""
+
+    def __init__(self, message: str, field: Optional[str] = None):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.message, self.field = message, field
 
 
 class CapacityError(CompetingBanditsError):
@@ -24,10 +30,10 @@ class ConfigError(InputError):
     """An experiment configuration file failed to parse or validate."""
 
 
-def _check_integer(name: str, value) -> None:
-    """InputError naming ``name`` unless ``value`` is an integer (numpy
+def _check_integer(name: str, value, error: type = InputError) -> None:
+    """``error`` naming ``name`` unless ``value`` is an integer (numpy
     integers included)."""
     try:
         operator.index(value)
     except TypeError:
-        raise InputError(f"{name}: expected an integer, got {value!r}") from None
+        raise error(f"expected an integer, got {value!r}", name) from None

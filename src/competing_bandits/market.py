@@ -38,24 +38,24 @@ class MarketInstance:
         _check_integer("n_players", self.n_players)
         _check_integer("n_arms", self.n_arms)
         if self.n_players < 1:
-            raise InputError("market requires at least one player")
+            raise InputError(f"must be at least 1, got {self.n_players}", "n_players")
         if self.n_arms < self.n_players:
-            raise InputError("market requires K >= N")
+            raise InputError(f"market requires K >= N, got K = {self.n_arms} < "
+                             f"N = {self.n_players}", "n_arms")
         if len(self.arm_utilities) != self.n_arms:
-            raise InputError(
-                f"expected {self.n_arms} arm utility vectors, got {len(self.arm_utilities)}"
-            )
+            raise InputError(f"expected {self.n_arms} arm utility vectors, "
+                             f"got {len(self.arm_utilities)}", "arm_utilities")
         normalized = []
         for j, row in enumerate(self.arm_utilities):
             row = tuple(float(v) for v in row)
             if len(row) != self.n_players:
-                raise InputError(
-                    f"arm {j}: utility vector has length {len(row)}, expected {self.n_players}"
-                )
+                raise InputError(f"arm {j}: utility vector has length {len(row)}, "
+                                 f"expected {self.n_players}", "arm_utilities")
             if not all(map(math.isfinite, row)):
-                raise InputError(f"arm {j}: utilities must be finite, got {row}")
+                raise InputError(f"arm {j}: utilities must be finite, got {row}", "arm_utilities")
             if len(set(row)) != len(row):
-                raise InputError(f"arm {j}: utilities over players must be distinct")
+                raise InputError(f"arm {j}: utilities over players must be distinct",
+                                 "arm_utilities")
             normalized.append(row)
         object.__setattr__(self, "arm_utilities", tuple(normalized))
 
@@ -232,7 +232,6 @@ def enumerate_stable_matchings(
     enumeration size limit.
     """
     _check_size_guard(market)
-    _check_orderings(player_orderings, market)
     stable = [
         m for m in _all_matchings(market)
         if not blocking_pairs(m, player_orderings, market)

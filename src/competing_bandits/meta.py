@@ -77,7 +77,7 @@ def build_ensemble(horizon: int) -> EpochEnsemble:
     and linear in the horizon, each within a factor two of some member.
     """
     if horizon < 2:
-        raise InputError("meta mode needs a horizon of at least 2")
+        raise InputError(f"meta mode needs a horizon of at least 2, got {horizon}", "horizon")
     n_periods = math.ceil(0.5 * math.log2(horizon)) + 1
     periods = tuple(2 ** j for j in range(n_periods))
     root = math.isqrt(horizon)
@@ -128,7 +128,7 @@ def run_rcb_meta(
     gains a per-epoch summary list.
     """
     if config.restart_period is not None:
-        raise InputError("meta mode tunes the restart period itself; leave it unset")
+        raise InputError("meta mode tunes it itself; leave it unset", "restart_period")
     horizon = config.horizon
     ensemble = build_ensemble(horizon)
     run = _Run(

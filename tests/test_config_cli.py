@@ -1,8 +1,11 @@
 """Config parsing, instance generation, sweeps, and the CLI surface."""
 
+import contextlib
+import io
 import math
 import re
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +16,6 @@ from competing_bandits import (
     ConfigError,
     InputError,
     SimulationConfig,
-    min_gap,
     regret_report,
     run_rcb,
     total_changes,
@@ -21,6 +23,8 @@ from competing_bandits import (
 from competing_bandits import cli
 from competing_bandits.cli import main, oracle_check, run_sweep
 from competing_bandits.config import (
+    _GRAMMAR,
+    _REQUIRED,
     MODES,
     ExperimentConfig,
     GeneratorSpec,
@@ -31,6 +35,7 @@ from competing_bandits.config import (
 )
 from competing_bandits.engine import BASELINES
 from competing_bandits.environment import NOISE_FAMILIES
+from timeline_oracle import min_gap
 
 EXPLICIT_CONFIG = """
 [experiment]
@@ -186,14 +191,43 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
      "[market] n_arms: market requires K >= N"),
     (GENERATOR_CONFIG.replace("n_arms = 3", "n_arms = 1"),
      "[generator] n_arms: market requires K >= N"),
+    (EXPLICIT_CONFIG.replace("0.9 0.4", "0.2 1.5"),
+     "[timeline] initial_means: player 0: mean 1.5 outside [0, 1.0]"),
+    (EXPLICIT_CONFIG.replace("0.9 0.4", "0.4 0.4"),
+     "[timeline] initial_means: player 0: duplicate arm means"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "90 0 1 0.95"),
+     "[timeline] events: event time 90 outside [2, 60]"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 5 0.95"),
+     "[timeline] events: event at t=30 has out-of-range indices"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 0.4"),
+     "[timeline] events: event at t=30 for player 0, arm 1 does not change the mean"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 1.95"),
+     "[timeline] events: player 0: mean 1.95 outside [0, 1.0]"),
+    (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = 0"),
+     "[timeline] mu_bar: must be positive"),
+    (GENERATOR_CONFIG.replace("n_players = 2", "n_players = 0"),
+     "[generator] n_players: must be positive"),
+    (GENERATOR_CONFIG.replace("delta = 0.1", "delta = 0.6"),
+     "[generator] delta: floor infeasible"),
+    (GENERATOR_CONFIG.replace("changes = 3", "changes = -1"),
+     "[generator] changes: cannot be negative"),
+    (GENERATOR_CONFIG + "change_fractions = 0.5\n",
+     "[generator] change_fractions: length must equal changes"),
+    (GENERATOR_CONFIG.replace("horizon = 400", "horizon = 3"),
+     "[generator] changes: cannot place 3 changes at distinct times in [2, 3]"),
+    (GENERATOR_CONFIG.replace("horizon = 400", "horizon = 1") + "change_fractions = 0, .5, 1\n",
+     "[generator] change_fractions: cannot place 3 changes at distinct times in [2, 1]"),
 ], ids=["experiment_key", "generator_key", "market_key", "timeline_key", "section",
         "delta", "generator_mu_bar", "change_fractions", "arm_utilities", "initial_means",
         "events", "timeline_mu_bar", "market_n_players", "market_k_below_n",
-        "generator_k_below_n"])
+        "generator_k_below_n", "initial_mean_range", "initial_means_duplicate",
+        "event_time", "event_indices", "event_no_op", "event_mean_range", "timeline_mu_bar_zero",
+        "generator_n_players", "infeasible_delta", "negative_changes",
+        "change_fractions_length", "changes_past_horizon", "change_fractions_past_horizon"])
 def test_validate_rejects_unknown_names_and_non_finite_numbers(tmp_path, capsys, text, error):
-    """A misspelt key, an extra section, a nan/inf number or a market size
-    out of range fails validation, naming the section and key, instead of
-    running with a default or crashing later."""
+    """A misspelt key, an extra section, a nan/inf number or a value that
+    the section's object rejects fails validation, naming the section and
+    key, instead of running with a default or crashing later."""
     path = write_config(tmp_path, text)
     with pytest.raises(ConfigError) as err:
         parse_config(path)
@@ -215,7 +249,8 @@ def ini_from_echo(pairs):
 @st.composite
 def generator_configs(draw):
     """Valid ExperimentConfigs with a [generator] section; meta mode gets
-    an auto restart period and a horizon of at least 2."""
+    an auto restart period and a horizon of at least 2, and the horizon has
+    a distinct round in [2, T] for each change."""
     n = draw(st.integers(1, 5), label="N")
     k = draw(st.integers(n, 8), label="K")
     mu_bar = draw(st.floats(0.1, 100.0), label="mu_bar")
@@ -231,7 +266,8 @@ def generator_configs(draw):
     return ExperimentConfig(
         version=1,
         mode=mode,
-        horizon=draw(st.integers(2 if mode == "meta" else 1, 10**6), label="T"),
+        horizon=draw(st.integers(max(2 if mode == "meta" else 1, n_changes + 1), 10**6),
+                     label="T"),
         restart_period=None if mode == "meta" else draw(st.none() | st.integers(1, 10**6),
                                                         label="H"),
         seeds=tuple(draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4,
@@ -300,6 +336,146 @@ def test_echoed_explicit_config_parses_back(tmp_path, text):
     assert echo_config(parse_config(path)) == echo
 
 
+# --- grammar-driven fuzzing ----------------------------------------------------------
+#
+# Config texts are drawn key by key from the rows of ``config._GRAMMAR``. At
+# most one value per config is an edge case (a size below 1 or K < N, a
+# horizon of 0, a mean outside [0, mu_bar], nan, inf, a lone '%' in ``out``,
+# a missing required key); the others are values their key accepts, so many
+# configs validate. Half the time the horizon is drawn near the change
+# count, where the changes stop fitting in rounds [2, T].
+
+EDGES = ("T", "N", "K", "mu_bar", "changes", "missing", "version", "mode", "restart_period",
+         "seeds", "baseline", "noise", "out", "seed", "delta", "change_fractions",
+         "arm_utilities", "initial_means", "events")
+
+
+def numbers(values, sep=" "):
+    """Text of a number, or of a list of numbers joined by ``sep``."""
+    def text(v):
+        return repr(v) if isinstance(v, float) else str(v)
+
+    return values.map(lambda v: sep.join(map(text, v)) if isinstance(v, list) else text(v))
+
+
+@st.composite
+def config_texts(draw):
+    """A config file: [experiment] plus either [generator] or
+    [market]+[timeline]; an optional key is left out one time in three."""
+    edge = draw(st.none() | st.sampled_from(EDGES), label="edge")
+
+    def pick(name, valid, bad):
+        return draw(bad if name == edge else valid, label=name)
+
+    changes = pick("changes", st.integers(0, 6), st.just(-1))
+    horizon = pick("T", st.integers(1, 60) | st.integers(max(changes - 1, 1), changes + 2),
+                   st.integers(-1, 0))
+    n = pick("N", st.integers(1, 4), st.just(0))
+    k = pick("K", st.integers(n, 5), st.just(n - 1))
+    mu_bar = pick("mu_bar", st.floats(0.01, 100.0),
+                  st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+    mu = mu_bar if 0 < mu_bar < math.inf else 1.0
+    sep = draw(st.sampled_from(["; ", ";", "\n    "]), label="row separator")
+
+    def matrix(name, rows, row, bad_row):
+        """``rows`` rows; as the edge, one of them is dropped or made bad."""
+        lines = [draw(row) for _ in range(rows)]
+        if name == edge and lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            lines[i:i + 1] = draw(st.lists(bad_row, max_size=1))
+        return sep.join(" ".join(map(repr, map(float, line))) for line in lines)
+
+    events = [[draw(st.integers(2, max(horizon, 2))), draw(st.integers(0, max(n - 1, 0))),
+               draw(st.integers(0, max(k - 1, 0))), draw(st.floats(0, mu))]
+              for _ in range(draw(st.integers(0, 3)))]
+    if edge == "events":  # a time, player, arm or mean just out of range, or no mean
+        field, bad = draw(st.sampled_from([(0, 1), (0, horizon + 1), (1, -1), (1, n), (2, -1),
+                                           (2, k), (3, 1.5 * mu), (3, None)]))
+        event = draw(st.sampled_from(events)) if events else [2, 0, 0, mu / 2]
+        events.append(event[:field] + ([bad] if bad is not None else []) + event[field + 1:])
+    means_row = st.lists(st.floats(0, mu), min_size=k, max_size=k, unique=True)
+    bad_means_row = st.lists(st.floats(-0.1, 1.1 * mu), min_size=k, max_size=k + 1)
+    values = {
+        "experiment": {
+            "version": pick("version", st.just("1"), st.sampled_from(["2", "1.0"])),
+            "mode": pick("mode", st.sampled_from(MODES), st.just("oracle")),
+            "horizon": str(horizon),
+            "restart_period": pick("restart_period",
+                                   st.just("auto") | numbers(st.integers(1, horizon + 2)),
+                                   st.sampled_from(["0", "-1"])),
+            "seeds": pick("seeds", numbers(st.lists(st.integers(0, 2**32 - 1), min_size=1,
+                                                    max_size=3, unique=True), ", "),
+                          st.sampled_from(["", "-1", "3, 3"])),
+            "baseline": pick("baseline", st.sampled_from(BASELINES), st.just("best")),
+            "noise": pick("noise", st.sampled_from(NOISE_FAMILIES), st.just("cauchy")),
+            "out": pick("out", st.sampled_from(["out", "a%%b", "%%"]), st.just("a%b")),
+        },
+        "generator": {
+            "seed": pick("seed", numbers(st.integers(0, 2**32)), st.just("-1")),
+            "n_players": str(n),
+            "n_arms": str(k),
+            "delta": repr(mu_bar / max(k, 1) * pick("delta", st.floats(0.01, 1.0),
+                                                     st.sampled_from([0.0, -0.05, 1.05]))),
+            "changes": str(changes),
+            "mu_bar": repr(mu_bar),
+            "change_fractions": pick(
+                "change_fractions",
+                numbers(st.lists(st.floats(0, 1), min_size=max(changes, 0),
+                                 max_size=max(changes, 0)), ", "),
+                numbers(st.lists(st.floats(), min_size=max(changes, 0), max_size=changes + 1),
+                        ", ")),
+        },
+        "market": {
+            "n_players": str(n),
+            "n_arms": str(k),
+            "arm_utilities": matrix("arm_utilities", k, st.permutations(range(n)),
+                                    st.lists(st.integers(0, 1), min_size=n, max_size=n + 1)),
+        },
+        "timeline": {
+            "mu_bar": repr(mu_bar),
+            "initial_means": matrix("initial_means", n, means_row, bad_means_row),
+            "events": sep.join(" ".join(map(str, event)) for event in events),
+        },
+    }
+    form = draw(st.sampled_from([("generator",), ("market", "timeline")]), label="form")
+    required = [(s, row.key) for s in ("experiment",) + form for row in _GRAMMAR[s]
+                if row.default is _REQUIRED]
+    missing = draw(st.sampled_from(required)) if edge == "missing" else None
+    text = []
+    for section in ("experiment",) + form:
+        text.append(f"[{section}]\n")
+        for row in _GRAMMAR[section]:
+            written = row.default is _REQUIRED or draw(st.integers(0, 2), label=row.key) > 0
+            if written and (section, row.key) != missing:
+                text.append(f"{row.key} = {values[section][row.key]}\n")
+    return "".join(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_texts())
+def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, text):
+    """Every config that validates runs (T <= 60) to exit 0 and echoes back
+    to itself; every config that does not raises ConfigError naming the
+    ``[section] key`` at fault, and no other exception."""
+    workdir = tmp_path_factory.mktemp("fuzz")
+    path = write_config(workdir, text)
+    try:
+        config = parse_config(path)
+    except ConfigError as exc:
+        named = re.fullmatch(r"\[(\w+)\] (\w+)", exc.field or "")
+        assert named and named[2] in [row.key for row in _GRAMMAR[named[1]]], str(exc)
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(workdir / "out")])
+    assert code == 0, err.getvalue()
+    echoed = parse_config(write_config(workdir, ini_from_echo(echo_config(config)), "echo.ini"))
+    if config.generator is not None:
+        assert echoed == config
+    else:  # timelines have no __eq__
+        assert echo_config(echoed) == echo_config(config)
+
+
 def test_generator_spec_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         GeneratorSpec(seed=-3, n_players=2, n_arms=2, delta=0.1, n_changes=0)
@@ -318,10 +494,11 @@ def test_generator_spec_rejects_negative_seed():
 ])
 def test_generator_spec_rejects_non_finite_numbers(field, values):
     """Non-finite floats, and floats in integer fields, fail naming the field."""
-    message = f"generator: {field}( must be finite|: expected an integer)"
-    with pytest.raises(ConfigError, match=message):
+    message = f"{field}: (must be finite|expected an integer)"
+    with pytest.raises(ConfigError, match=message) as err:
         GeneratorSpec(**{"seed": 0, "n_players": 2, "n_arms": 2, "delta": 0.1,
                          "n_changes": 0, **values})
+    assert err.value.field == field
 
 
 def test_parse_rejects_infeasible_delta(tmp_path):
@@ -393,6 +570,10 @@ def test_generator_change_fractions_fit_the_horizon():
                          change_fractions=(0.99, 1.0))
     _, timeline = generate_instance(spec, 10)
     assert [e.time for e in timeline.events] == [9, 10]
+    # Fractions far outside [0, 1] clamp to the ends without overflowing.
+    spec = replace(spec, change_fractions=(-1e308, 1e308))
+    _, timeline = generate_instance(spec, 10)
+    assert [e.time for e in timeline.events] == [2, 10]
     # Three changes cannot fit in rounds [2, 3].
     spec = GeneratorSpec(seed=0, n_players=2, n_arms=2, delta=0.1, n_changes=3,
                          change_fractions=(0.2, 0.5, 0.9))
@@ -472,6 +653,17 @@ changes = 1
     assert main(["sweep", "--config", str(path), "--grid", grid, "--out", str(out_dir)]) == 1
     assert named in capsys.readouterr().err
     assert runs == []
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "H=1,2"]], ids=["run", "sweep"])
+def test_cli_changes_past_the_horizon_fail_before_running(tmp_path, capsys, command):
+    """Changes that cannot fit at distinct rounds in [2, T] fail validation
+    naming the key, not a grid point, and no output directory is made."""
+    path = write_config(tmp_path, GENERATOR_CONFIG.replace("horizon = 400", "horizon = 3"))
+    out_dir = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out_dir)]) == 1
+    assert "error: [generator] changes: cannot place 3 changes" in capsys.readouterr().err
     assert not out_dir.exists()
 
 

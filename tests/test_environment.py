@@ -15,12 +15,12 @@ from competing_bandits import (
     MeanRewardTimeline,
     blocking_pairs,
     means_at,
-    min_gap,
     sample_reward,
     stable_benchmarks,
     total_changes,
 )
 from competing_bandits.environment import NOISE_FAMILIES, draw_noise, true_orderings
+from timeline_oracle import min_gap
 
 
 def flat_timeline(horizon=10, events=(), mu_bar=1.0):
@@ -73,7 +73,7 @@ def test_rejects_event_mean_above_mu_bar():
 
 @pytest.mark.parametrize("mu_bar", [math.nan, math.inf])
 def test_rejects_non_finite_mu_bar(mu_bar):
-    with pytest.raises(InputError, match="mu_bar must be positive and finite"):
+    with pytest.raises(InputError, match="mu_bar: must be positive and finite"):
         flat_timeline(mu_bar=mu_bar)
 
 
