@@ -79,7 +79,7 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
                                        value if grid_key == "L" else None)
             sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
         except InputError as exc:
-            raise type(exc)(exc.message, f"--grid {grid_key}={value}") from None
+            raise type(exc)(str(exc), f"--grid {grid_key}={value}") from None
         points.append((value, market, timeline, sim))
     return points
 

@@ -395,20 +395,20 @@ def parse_config(path) -> ExperimentConfig:
     sections = {name: _read_section(parser, name) for name in parser.sections()}
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    # [experiment]'s rules first, then each instance section's, then the rest.
-    config = _build("experiment", ExperimentConfig, sections.pop("experiment"))
-    if "generator" in sections:
-        if len(sections) > 1:
+    experiment = sections.pop("experiment")
+    makers = {"generator": GeneratorSpec, "market": MarketInstance,
+              "timeline": partial(MeanRewardTimeline, experiment["horizon"])}
+    try:
+        if "generator" in sections and len(sections) > 1:
             raise ConfigError("config must use either [market]+[timeline] or [generator], not both")
-        instance = {"generator": _build("generator", GeneratorSpec, sections["generator"])}
-    else:
-        for name in ("market", "timeline"):
+        for name in () if "generator" in sections else ("market", "timeline"):
             if name not in sections:
                 raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
-        instance = {"market": _build("market", MarketInstance, sections["market"]),
-                    "timeline": _build("timeline", partial(MeanRewardTimeline, config.horizon),
-                                       sections["timeline"])}
-    return _build("experiment", partial(replace, config), instance)
+        instance = {n: _build(n, make, sections[n]) for n, make in makers.items() if n in sections}
+    except ConfigError:
+        _build("experiment", ExperimentConfig, experiment)  # [experiment]'s errors come first
+        raise
+    return _build("experiment", ExperimentConfig, experiment | instance)
 
 
 def echo_config(config: ExperimentConfig) -> list[tuple[str, str]]:

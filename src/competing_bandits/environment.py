@@ -64,17 +64,14 @@ class MeanRewardTimeline:
         if not 0 < mu_bar < math.inf:
             raise InputError(f"must be positive and finite, got {mu_bar}", "mu_bar")
         means = tuple(tuple(float(v) for v in row) for row in initial_means)
-        n = len(means)
-        if n == 0:
+        if not means:
             raise InputError("must have at least one player row", "initial_means")
-        k = len(means[0])
-        if any(len(row) != k for row in means):
+        if any(len(row) != len(means[0]) for row in means):
             raise InputError("rows must all have the same length", "initial_means")
 
         self.horizon = int(horizon)
         self.mu_bar = float(mu_bar)
-        self.n_players = n
-        self.n_arms = k
+        self.n_players, self.n_arms = len(means), len(means[0])
         self.initial_means = means
         self.events = tuple(sorted(events, key=lambda e: (e.time, e.player, e.arm)))
 
@@ -91,6 +88,9 @@ class MeanRewardTimeline:
             for ev in group:
                 if not (0 <= ev.player < self.n_players and 0 <= ev.arm < self.n_arms):
                     raise InputError(f"event at t={t} has out-of-range indices", "events")
+                if not (0.0 <= ev.new_mean <= self.mu_bar):
+                    raise AssumptionError(f"event at t={t} sets mean {ev.new_mean} "
+                                          f"outside [0, {self.mu_bar}]", "events")
                 if ev.new_mean == current[ev.player][ev.arm]:
                     raise InputError(f"event at t={t} for player {ev.player}, arm {ev.arm} "
                                      "does not change the mean", "events")

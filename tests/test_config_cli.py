@@ -202,7 +202,9 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
     (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 0.4"),
      "[timeline] events: event at t=30 for player 0, arm 1 does not change the mean"),
     (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 1.95"),
-     "[timeline] events: player 0: mean 1.95 outside [0, 1.0]"),
+     "[timeline] events: event at t=30 sets mean 1.95 outside [0, 1.0]"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 1.95; 30 0 1 0.5"),
+     "[timeline] events: event at t=30 sets mean 1.95 outside [0, 1.0]"),
     (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = 0"),
      "[timeline] mu_bar: must be positive"),
     (GENERATOR_CONFIG.replace("n_players = 2", "n_players = 0"),
@@ -221,7 +223,8 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
         "delta", "generator_mu_bar", "change_fractions", "arm_utilities", "initial_means",
         "events", "timeline_mu_bar", "market_n_players", "market_k_below_n",
         "generator_k_below_n", "initial_mean_range", "initial_means_duplicate",
-        "event_time", "event_indices", "event_no_op", "event_mean_range", "timeline_mu_bar_zero",
+        "event_time", "event_indices", "event_no_op", "event_mean_range",
+        "event_mean_overwritten", "timeline_mu_bar_zero",
         "generator_n_players", "infeasible_delta", "negative_changes",
         "change_fractions_length", "changes_past_horizon", "change_fractions_past_horizon"])
 def test_validate_rejects_unknown_names_and_non_finite_numbers(tmp_path, capsys, text, error):
@@ -343,7 +346,8 @@ def test_echoed_explicit_config_parses_back(tmp_path, text):
 # horizon of 0, a mean outside [0, mu_bar], nan, inf, a lone '%' in ``out``,
 # a missing required key); the others are values their key accepts, so many
 # configs validate. Half the time the horizon is drawn near the change
-# count, where the changes stop fitting in rounds [2, T].
+# count, where the changes stop fitting in rounds [2, T]. Most edges hold a
+# value that no valid config has; a config carrying one must be rejected.
 
 EDGES = ("T", "N", "K", "mu_bar", "changes", "missing", "version", "mode", "restart_period",
          "seeds", "baseline", "noise", "out", "seed", "delta", "change_fractions",
@@ -360,9 +364,18 @@ def numbers(values, sep=" "):
 
 @st.composite
 def config_texts(draw):
-    """A config file: [experiment] plus either [generator] or
-    [market]+[timeline]; an optional key is left out one time in three."""
+    """(text, must_fail): a config file, [experiment] plus either [generator]
+    or [market]+[timeline], an optional key left out one time in three; and
+    whether its edge value is written where every config holding it is
+    invalid."""
     edge = draw(st.none() | st.sampled_from(EDGES), label="edge")
+    form = draw(st.sampled_from([("generator",), ("market", "timeline")]), label="form")
+    keys = [(section, row) for section in ("experiment",) + form for row in _GRAMMAR[section]]
+    written = {(section, row.key) for section, row in keys
+               if row.default is _REQUIRED or draw(st.integers(0, 2), label=row.key) > 0}
+    if edge == "missing":
+        written.remove(draw(st.sampled_from(sorted(
+            (section, row.key) for section, row in keys if row.default is _REQUIRED))))
 
     def pick(name, valid, bad):
         return draw(bad if name == edge else valid, label=name)
@@ -389,10 +402,13 @@ def config_texts(draw):
                draw(st.integers(0, max(k - 1, 0))), draw(st.floats(0, mu))]
               for _ in range(draw(st.integers(0, 3)))]
     if edge == "events":  # a time, player, arm or mean just out of range, or no mean
+        timeline_mu = mu if ("timeline", "mu_bar") in written else 1.0
         field, bad = draw(st.sampled_from([(0, 1), (0, horizon + 1), (1, -1), (1, n), (2, -1),
-                                           (2, k), (3, 1.5 * mu), (3, None)]))
+                                           (2, k), (3, 1.5 * timeline_mu), (3, None)]))
         event = draw(st.sampled_from(events)) if events else [2, 0, 0, mu / 2]
-        events.append(event[:field] + ([bad] if bad is not None else []) + event[field + 1:])
+        # Anywhere in the list: before a good event on the same cell and round too.
+        events.insert(draw(st.integers(0, len(events))),
+                      event[:field] + ([bad] if bad is not None else []) + event[field + 1:])
     means_row = st.lists(st.floats(0, mu), min_size=k, max_size=k, unique=True)
     bad_means_row = st.lists(st.floats(-0.1, 1.1 * mu), min_size=k, max_size=k + 1)
     values = {
@@ -437,26 +453,34 @@ def config_texts(draw):
             "events": sep.join(" ".join(map(str, event)) for event in events),
         },
     }
-    form = draw(st.sampled_from([("generator",), ("market", "timeline")]), label="form")
-    required = [(s, row.key) for s in ("experiment",) + form for row in _GRAMMAR[s]
-                if row.default is _REQUIRED]
-    missing = draw(st.sampled_from(required)) if edge == "missing" else None
     text = []
     for section in ("experiment",) + form:
         text.append(f"[{section}]\n")
-        for row in _GRAMMAR[section]:
-            written = row.default is _REQUIRED or draw(st.integers(0, 2), label=row.key) > 0
-            if written and (section, row.key) != missing:
-                text.append(f"{row.key} = {values[section][row.key]}\n")
-    return "".join(text)
+        text.extend(f"{row.key} = {values[section][row.key]}\n"
+                    for row in _GRAMMAR[section] if (section, row.key) in written)
+    # The key that carries each edge whose value no valid config holds. A bad
+    # [generator] mu_bar makes delta bad; a bad delta is scaled to the drawn
+    # mu_bar, so it is infeasible only where that mu_bar is written. The other
+    # edges can yield valid configs.
+    carrier = {"T": ("experiment", "horizon"), "N": (form[0], "n_players"),
+               "K": (form[0], "n_arms"), "changes": ("generator", "changes"),
+               "seed": ("generator", "seed"), "delta": ("generator", "mu_bar"),
+               "mu_bar": ("generator", "delta") if form == ("generator",)
+               else ("timeline", "mu_bar"),
+               "events": ("timeline", "events"),
+               **{key: ("experiment", key) for key in ("version", "mode", "restart_period",
+                                                       "seeds", "baseline", "noise", "out")}}
+    return "".join(text), edge == "missing" or carrier.get(edge) in written
 
 
 @settings(max_examples=150, deadline=None)
 @given(config_texts())
-def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, text):
+def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, drawn):
     """Every config that validates runs (T <= 60) to exit 0 and echoes back
     to itself; every config that does not raises ConfigError naming the
-    ``[section] key`` at fault, and no other exception."""
+    ``[section] key`` at fault, and no other exception. A config holding a
+    value no valid config has does not validate."""
+    text, must_fail = drawn
     workdir = tmp_path_factory.mktemp("fuzz")
     path = write_config(workdir, text)
     try:
@@ -465,6 +489,7 @@ def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, text):
         named = re.fullmatch(r"\[(\w+)\] (\w+)", exc.field or "")
         assert named and named[2] in [row.key for row in _GRAMMAR[named[1]]], str(exc)
         return
+    assert not must_fail, "accepted a config holding an invalid value"
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["run", "--config", str(path), "--out", str(workdir / "out")])
@@ -654,6 +679,16 @@ changes = 1
     assert named in capsys.readouterr().err
     assert runs == []
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("grid_key, value, error", [
+    ("L", -1, "--grid L=-1: n_changes: cannot be negative"),
+    ("T", 2, "--grid T=2: n_changes: cannot place 3 changes at distinct times in [2, 2]"),
+])
+def test_sweep_grid_error_names_the_point_and_its_field(tmp_path, grid_key, value, error):
+    config = parse_config(write_config(tmp_path, GENERATOR_CONFIG))
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        run_sweep(config, grid_key, [value])
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "H=1,2"]], ids=["run", "sweep"])

@@ -69,6 +69,10 @@ def test_rejects_noop_event():
 def test_rejects_event_mean_above_mu_bar():
     with pytest.raises(AssumptionError):
         flat_timeline(events=(ChangeEvent(5, 0, 0, 1.2),))
+    # A later event on the same cell and round does not hide a bad value.
+    for bad in (1.2, math.nan):
+        with pytest.raises(AssumptionError, match="events: event at t=5 sets mean"):
+            flat_timeline(events=(ChangeEvent(5, 0, 0, bad), ChangeEvent(5, 0, 0, 0.3)))
 
 
 @pytest.mark.parametrize("mu_bar", [math.nan, math.inf])
