@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import statistics
 import sys
 from dataclasses import dataclass, replace
@@ -20,7 +19,6 @@ import numpy as np
 from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
-from .environment import MeanRewardTimeline
 from .errors import CompetingBanditsError, ConfigError, InputError
 from .market import (
     ENUMERATION_LIMIT,
@@ -43,15 +41,9 @@ class SweepRow:
     restart_period: int
 
 
-def _sim_config(config: ExperimentConfig, timeline: MeanRewardTimeline, seed: int = 0,
-                restart_period: Optional[int] = None) -> SimulationConfig:
-    return SimulationConfig(
-        horizon=timeline.horizon,
-        restart_period=restart_period if restart_period is not None else config.restart_period,
-        seed=seed,
-        noise=config.noise,
-        baseline=config.baseline,
-    )
+def _sim_config(config: ExperimentConfig, seed: int = 0) -> SimulationConfig:
+    return SimulationConfig(config.horizon, config.restart_period, seed, config.noise,
+                            config.baseline)
 
 
 def run_sweep(config: ExperimentConfig, grid_key: str,
@@ -64,36 +56,43 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
 
 
 def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence[int]) -> list:
-    """Each grid point's (value, market, timeline, run config), all resolved
-    before any point runs, so a bad one fails early."""
+    """Each grid point's (value, config, market, timeline), all validated
+    and resolved before any point runs, so a bad one fails early."""
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
     if config.mode == "meta":
         raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
-    # The instance depends on (horizon, n_changes) only: resolve each once.
-    resolve = functools.cache(functools.partial(resolve_instance, config))
+    if grid_key != "H" and config.generator is None:
+        raise ConfigError("sweeping T or L requires a [generator] section", f"--grid {grid_key}")
+    spec = config.generator
+    shared = resolve_instance(config) if grid_key == "H" else None  # every H point runs it
     points = []
     for value in grid_values:
         try:
-            market, timeline = resolve(value if grid_key == "T" else None,
-                                       value if grid_key == "L" else None)
-            sim = _sim_config(config, timeline, restart_period=value if grid_key == "H" else None)
-        except InputError as exc:
-            raise type(exc)(str(exc), f"--grid {grid_key}={value}") from None
-        points.append((value, market, timeline, sim))
+            if grid_key == "T":
+                point = replace(config, horizon=value)
+            elif grid_key == "H":
+                point = replace(config, restart_period=value)
+            else:  # a point at the spec's own change count keeps its fractions
+                fractions = spec.change_fractions if value == spec.n_changes else None
+                point = replace(config, generator=replace(spec, n_changes=value,
+                                                          change_fractions=fractions))
+            points.append((value, point, *(shared or resolve_instance(point))))
+        except InputError as exc:  # named by the point, its field unqualified as in a run config
+            raise type(exc)(str(exc).removeprefix("generator."),
+                            f"--grid {grid_key}={value}") from None
     return points
 
 
 def _sweep_rows(config: ExperimentConfig, points: list) -> list[SweepRow]:
     rows = []
-    for value, market, timeline, sim in points:
-        traces = run_rcb_seeds(sim, market, timeline, config.seeds)
+    for value, point, market, timeline in points:
+        traces = run_rcb_seeds(_sim_config(point), market, timeline, config.seeds)
         finals = [float(regret_report(trace, "pessimal").final().max()) for trace in traces]
         period = traces[0].restart_period
         del traces  # free this point's arrays before the next point allocates its own
-        mean = statistics.fmean(finals)
-        std = statistics.pstdev(finals) if len(finals) > 1 else 0.0
-        rows.append(SweepRow(value, mean, std, config.seeds, period))
+        rows.append(SweepRow(value, statistics.fmean(finals), statistics.pstdev(finals),
+                             config.seeds, period))
     return rows
 
 
@@ -212,7 +211,7 @@ def _cmd_run(args) -> int:
     market, timeline = resolve_instance(config)
     runner = run_rcb_meta if config.mode == "meta" else run_rcb
     for seed in config.seeds:
-        trace = runner(_sim_config(config, timeline, seed), market, timeline)
+        trace = runner(_sim_config(config, seed), market, timeline)
         trace_path = out_dir / f"trace_{config.mode}_seed{seed}.csv"
         report = write_trace_csv(trace, trace_path, extra_metadata=metadata)
         if config.mode == "meta":

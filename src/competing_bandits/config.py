@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .engine import BASELINES
-from .environment import NOISE_FAMILIES, ChangeEvent, MeanRewardTimeline
+from .engine import SimulationConfig
+from .environment import ChangeEvent, MeanRewardTimeline
 from .errors import ConfigError, InputError, _check_integer
 from .market import MarketInstance
 from .meta import build_ensemble
@@ -82,8 +82,9 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description. An error names the field,
-    as ``generator.<field>`` for a field of a section object."""
+    """Fully resolved experiment description, the one home of its rules for
+    config files, overrides, sweep points and library callers alike. An error
+    names the field, as ``generator.<field>`` for a field of a section object."""
 
     version: int
     mode: str
@@ -98,12 +99,17 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("need at least one seed", "seeds")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"must be at least 0, got {min(self.seeds)}", "seeds")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError(f"must not repeat, got {self.seeds}", "seeds")
+        for name, value in (("version", self.version), *(("seeds", s) for s in self.seeds)):
+            _check_integer(name, value, ConfigError)
+        if self.version != CONFIG_VERSION:
+            raise ConfigError(f"must be {CONFIG_VERSION}, got {self.version}", "version")
+        if self.mode not in MODES:
+            raise ConfigError(f"must be one of {MODES}, got {self.mode!r}", "mode")
+        # The rules of one run: horizon, restart_period, noise, baseline (seeds below).
+        SimulationConfig(self.horizon, self.restart_period, 0, self.noise, self.baseline)
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("must be one or more distinct integers, none negative, "
+                              f"got {self.seeds}", "seeds")
         if self.mode == "meta" and self.restart_period is not None:
             raise ConfigError("meta mode tunes the restart_period itself; it must be 'auto', "
                               f"got {self.restart_period}", "restart_period")
@@ -111,10 +117,16 @@ class ExperimentConfig:
             build_ensemble(self.horizon)  # the meta loop's own check: T >= 2
         if self.generator is not None:
             self.generator.check_horizon(self.horizon, "generator.")
+        elif self.timeline is not None and self.timeline.horizon != self.horizon:
+            raise ConfigError(f"horizon {self.timeline.horizon} differs from the experiment's "
+                              f"{self.horizon}", "timeline")
         elif (self.market is not None and self.timeline is not None
               and (self.timeline.n_players, self.timeline.n_arms)
               != (self.market.n_players, self.market.n_arms)):
             raise ConfigError("shape disagrees with [market] sizes", "timeline.initial_means")
+        # A line break would end the trace header's ``# out =`` comment line.
+        if not isinstance(self.out_dir, str) or "\n" in self.out_dir or "\r" in self.out_dir:
+            raise ConfigError(f"must be one line of text, got {self.out_dir!r}", "out_dir")
 
 
 def _allowed_intervals(others: Sequence[float], delta: float, lo: float, hi: float):
@@ -212,23 +224,13 @@ def generate_instance(
     return market, timeline
 
 
-def resolve_instance(
-    config: ExperimentConfig,
-    horizon: Optional[int] = None,
-    n_changes: Optional[int] = None,
-) -> tuple[MarketInstance, MeanRewardTimeline]:
-    """Materialize the market/timeline pair, regenerating when the config
-    uses a generator (sweeps override horizon or change count per point)."""
-    horizon = horizon if horizon is not None else config.horizon
+def resolve_instance(config: ExperimentConfig) -> tuple[MarketInstance, MeanRewardTimeline]:
+    """The config's market/timeline pair: the explicit one, or one generated
+    for the config's horizon."""
     if config.generator is not None:
-        spec = config.generator
-        if n_changes is not None and n_changes != spec.n_changes:
-            spec = replace(spec, n_changes=n_changes, change_fractions=None)
-        return generate_instance(spec, horizon)
+        return generate_instance(config.generator, config.horizon)
     if config.market is None or config.timeline is None:
         raise ConfigError("config has neither an explicit instance nor a generator")
-    if n_changes is not None or horizon != config.horizon:
-        raise ConfigError("sweeping T or L requires a [generator] section")
     return config.market, config.timeline
 
 
@@ -238,30 +240,24 @@ def _rows(text: str) -> list[str]:
     return [row.strip() for row in text.replace(";", "\n").splitlines() if row.strip()]
 
 
-def _number(text: str, kind: type = float, minimum: Optional[int] = None):
-    """One integer (``kind=int``) or finite float, at least ``minimum``."""
+def _number(text: str, kind: type = float):
+    """One integer (``kind=int``) or finite float."""
     try:
         value = kind(text)
-        finite = kind is int or math.isfinite(value)
+        if kind is int or math.isfinite(value):
+            return value
     except ValueError:
-        finite = False
-    if not finite:
-        raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
-                         f"got {text!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"must be at least {minimum}, got {value}")
-    return value
+        pass
+    raise ValueError(f"expected {'an integer' if kind is int else 'a finite number'}, "
+                     f"got {text!r}")
+
+
+_integer = partial(_number, kind=int)
 
 
 def _numbers(text: str, kind: type = float) -> tuple:
     """Numbers separated by commas or whitespace."""
     return tuple(_number(v, kind) for v in text.replace(",", " ").split())
-
-
-def _one_of(options: Sequence, value):
-    if value not in options:
-        raise ValueError(f"must be one of {options}, got {value!r}")
-    return value
 
 
 def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
@@ -274,16 +270,8 @@ def _events(text: str) -> tuple[ChangeEvent, ...]:
         parts = row.split()
         if len(parts) != 4:
             raise ValueError(f"expected 'time player arm new_mean', got {row!r}")
-        events.append(ChangeEvent(*(_number(p, int) for p in parts[:3]), _number(parts[3])))
+        events.append(ChangeEvent(*map(_integer, parts[:3]), _number(parts[3])))
     return tuple(events)
-
-
-def _path(text: str) -> str:
-    """A path on one line: a line break would end the ``# out =`` comment
-    line of the trace header and split the echo."""
-    if "\n" in text or "\r" in text:
-        raise ValueError(f"must be one line, got {text!r}")
-    return text
 
 
 def _joined(fmt: Callable[[Any], str], sep: str) -> Callable[[Any], str]:
@@ -291,8 +279,8 @@ def _joined(fmt: Callable[[Any], str], sep: str) -> Callable[[Any], str]:
 
 
 class _Key(NamedTuple):
-    """One config key: the field it fills, the parser of its stripped text
-    (its ValueError is reported under the key), its default text
+    """One config key: the field it fills, the converter of its stripped
+    text (its ValueError is reported under the key), its default text
     (``_REQUIRED``, or None if it has none) and its echo formatter."""
 
     key: str
@@ -309,29 +297,29 @@ _matrix_text = _joined(_joined(repr, " "), "; ")
 # fills ExperimentConfig; the others fill the object of the same name.
 _GRAMMAR = {
     "experiment": (
-        _Key("version", "version", lambda t: _one_of([CONFIG_VERSION], _number(t, int)), _REQUIRED),
-        _Key("mode", "mode", partial(_one_of, MODES), "rcb"),
-        _Key("horizon", "horizon", partial(_number, kind=int, minimum=1), _REQUIRED),
-        _Key("restart_period", "restart_period",
-             lambda t: None if t == "auto" else _number(t, int, minimum=1), "auto"),
+        _Key("version", "version", _integer, _REQUIRED),
+        _Key("mode", "mode", str, "rcb"),
+        _Key("horizon", "horizon", _integer, _REQUIRED),
+        _Key("restart_period", "restart_period", lambda t: None if t == "auto" else _integer(t),
+             "auto"),
         _Key("seeds", "seeds", partial(_numbers, kind=int), "0", _joined(str, ",")),
-        _Key("baseline", "baseline", partial(_one_of, BASELINES), "pessimal"),
-        _Key("noise", "noise", partial(_one_of, NOISE_FAMILIES), "gaussian"),
+        _Key("baseline", "baseline", str, "pessimal"),
+        _Key("noise", "noise", str, "gaussian"),
         # A '%' echoes as '%%', the escape that parses back to it.
-        _Key("out", "out_dir", _path, ".", lambda out: out.replace("%", "%%")),
+        _Key("out", "out_dir", str, ".", lambda out: out.replace("%", "%%")),
     ),
     "generator": (
-        _Key("seed", "seed", partial(_number, kind=int), "0"),
-        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
-        _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
+        _Key("seed", "seed", _integer, "0"),
+        _Key("n_players", "n_players", _integer, _REQUIRED),
+        _Key("n_arms", "n_arms", _integer, _REQUIRED),
         _Key("delta", "delta", _number, _REQUIRED, repr),
-        _Key("changes", "n_changes", partial(_number, kind=int), "0"),
+        _Key("changes", "n_changes", _integer, "0"),
         _Key("mu_bar", "mu_bar", _number, "1.0", repr),
         _Key("change_fractions", "change_fractions", _numbers, None, _joined(repr, ",")),
     ),
     "market": (
-        _Key("n_players", "n_players", partial(_number, kind=int), _REQUIRED),
-        _Key("n_arms", "n_arms", partial(_number, kind=int), _REQUIRED),
+        _Key("n_players", "n_players", _integer, _REQUIRED),
+        _Key("n_arms", "n_arms", _integer, _REQUIRED),
         _Key("arm_utilities", "arm_utilities", _matrix, _REQUIRED, _matrix_text),
     ),
     "timeline": (

@@ -64,20 +64,16 @@ class SimulationConfig:
     baseline: str = "pessimal"
 
     def __post_init__(self):
-        _check_integer("horizon", self.horizon)
-        _check_integer("seed", self.seed)
-        if self.restart_period is not None:
-            _check_integer("restart_period", self.restart_period)
-        if self.horizon < 1:
-            raise InputError("horizon must be at least 1")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise InputError("explicit restart period must be at least 1")
-        if self.seed < 0:
-            raise InputError(f"seed must be non-negative, got {self.seed}")
+        for name, least in (("horizon", 1), ("restart_period", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if value is not None or name != "restart_period":  # its None is "auto"
+                _check_integer(name, value)
+                if value < least:
+                    raise InputError(f"must be at least {least}, got {value}", name)
         if self.noise not in NOISE_FAMILIES:
-            raise InputError(f"noise must be one of {NOISE_FAMILIES}, got {self.noise!r}")
+            raise InputError(f"must be one of {NOISE_FAMILIES}, got {self.noise!r}", "noise")
         if self.baseline not in BASELINES:
-            raise InputError(f"baseline must be one of {BASELINES}")
+            raise InputError(f"must be one of {BASELINES}, got {self.baseline!r}", "baseline")
 
 
 @dataclass

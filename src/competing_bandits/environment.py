@@ -46,9 +46,9 @@ class MeanRewardTimeline:
     """Piecewise-constant mean rewards over a horizon.
 
     Validation enforces: means within [0, mu_bar]; every event lands in
-    [2, T] and actually changes its cell; and within every maximal constant
-    segment each player's K means are pairwise distinct (so the global
-    minimum gap is positive).
+    [2, T], changes its cell and is the only one on its cell that round;
+    and within every maximal constant segment each player's K means are
+    pairwise distinct (so the global minimum gap is positive).
     """
 
     def __init__(
@@ -98,6 +98,11 @@ class MeanRewardTimeline:
             frozen = tuple(tuple(row) for row in current)
             self._check_matrix(frozen, t, "events")
             points.append((t, frozen))
+        # Sorting keeps the events on one cell and round next to each other.
+        for a, b in zip(self.events, self.events[1:]):
+            if (a.time, a.player, a.arm) == (b.time, b.player, b.arm):
+                raise InputError(f"second event at t={b.time} for player {b.player}, arm {b.arm}",
+                                 "events")
         ends = [start - 1 for start, _ in points[1:]] + [self.horizon]
         self._segments = tuple((start, end, means) for (start, means), end in zip(points, ends))
 

@@ -204,11 +204,16 @@ def blocking_pairs(
     _check_orderings(player_orderings, market)
     if len(m.assignment) != market.n_players:
         raise InputError("matching size does not fit the market")
+    return _blocking_pairs(m, player_orderings, market)
+
+
+def _blocking_pairs(m: Matching, orderings: Sequence[RankOrdering], market: MarketInstance):
+    """``blocking_pairs`` on inputs already checked to fit the market."""
     occupant = {arm: p for p, arm in enumerate(m.assignment)}
     out = []
     for p in range(market.n_players):
         held = m.assignment[p]
-        for arm in player_orderings[p].ranks:
+        for arm in orderings[p].ranks:
             if arm == held:
                 break  # everything after is ranked below the held arm
             other = occupant.get(arm)
@@ -232,12 +237,9 @@ def enumerate_stable_matchings(
     enumeration size limit.
     """
     _check_size_guard(market)
-    stable = [
-        m for m in _all_matchings(market)
-        if not blocking_pairs(m, player_orderings, market)
-    ]
-    stable.sort(key=lambda m: m.assignment)
-    return stable
+    _check_orderings(player_orderings, market)  # once: every candidate fits the market
+    # Permutations come in lexicographic order, so the list is sorted.
+    return [m for m in _all_matchings(market) if not _blocking_pairs(m, player_orderings, market)]
 
 
 def optimal_pessimal(

@@ -3,22 +3,25 @@
 import contextlib
 import io
 import math
+import pathlib
 import re
 import string
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from competing_bandits import (
     ConfigError,
     InputError,
+    MarketInstance,
     SimulationConfig,
     regret_report,
     run_rcb,
     total_changes,
+    write_trace_csv,
 )
 from competing_bandits import cli
 from competing_bandits.cli import main, oracle_check, run_sweep
@@ -35,6 +38,7 @@ from competing_bandits.config import (
 )
 from competing_bandits.engine import BASELINES
 from competing_bandits.environment import NOISE_FAMILIES
+from competing_bandits.meta import run_rcb_meta
 from timeline_oracle import min_gap
 
 EXPLICIT_CONFIG = """
@@ -205,6 +209,8 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
      "[timeline] events: event at t=30 sets mean 1.95 outside [0, 1.0]"),
     (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 1.95; 30 0 1 0.5"),
      "[timeline] events: event at t=30 sets mean 1.95 outside [0, 1.0]"),
+    (EXPLICIT_CONFIG.replace("30 0 1 0.95", "30 0 1 0.5; 30 0 1 0.4"),
+     "[timeline] events: second event at t=30 for player 0, arm 1"),
     (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = 0"),
      "[timeline] mu_bar: must be positive"),
     (GENERATOR_CONFIG.replace("n_players = 2", "n_players = 0"),
@@ -224,7 +230,7 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
         "events", "timeline_mu_bar", "market_n_players", "market_k_below_n",
         "generator_k_below_n", "initial_mean_range", "initial_means_duplicate",
         "event_time", "event_indices", "event_no_op", "event_mean_range",
-        "event_mean_overwritten", "timeline_mu_bar_zero",
+        "event_mean_overwritten", "event_same_cell", "timeline_mu_bar_zero",
         "generator_n_players", "infeasible_delta", "negative_changes",
         "change_fractions_length", "changes_past_horizon", "change_fractions_past_horizon"])
 def test_validate_rejects_unknown_names_and_non_finite_numbers(tmp_path, capsys, text, error):
@@ -501,6 +507,135 @@ def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, drawn):
         assert echo_config(echoed) == echo_config(config)
 
 
+# --- library-boundary fuzzing ----------------------------------------------------------
+#
+# ExperimentConfigs are built directly, as a library caller builds them, in
+# either instance form: a GeneratorSpec, or the market and timeline it
+# generates passed as objects. Integers come as Python or numpy integers. At
+# most one value is an edge that no valid config holds (a float in an
+# integer field, a value below its minimum, an unknown option name, a line
+# break in out_dir, changes or a timeline that do not fit the horizon, a
+# market of another size), keyed by the field its error must name.
+
+LIBRARY_EDGES = {
+    "version": [7, 0, 1.0],
+    "mode": ["bogus", "oracle-check"],
+    "horizon": [0, -1, 30.0],
+    "restart_period": [0, -5, 2.5],
+    "seeds": [(), (-1,), (3, 3), (1.5,), (np.int64(-2),)],
+    "baseline": ["best"],
+    "noise": ["pink", "cauchy"],
+    "out_dir": ["a\nb", "a\rb", pathlib.PurePath("out")],
+    # GeneratorSpec fields
+    "seed": [-1, 2.0],
+    "n_players": [0],
+    "n_changes": [-1],
+    "delta": [0.0, -0.1, math.nan],
+    # Rules spanning the instance and the experiment
+    "generator.n_changes": [],  # as many changes as rounds
+    "timeline": [],  # an explicit timeline one round longer than the horizon
+    "timeline.initial_means": [],  # an explicit market one player and arm larger
+}
+
+
+def integers(lo, hi):
+    """Python or numpy integers in [lo, hi]."""
+    return st.integers(lo, hi) | st.integers(lo, hi).map(np.int64)
+
+
+@st.composite
+def library_configs(draw):
+    """(fields, spec, form, edge, h): the ExperimentConfig fields other than
+    the instance, the GeneratorSpec fields, the instance form, the edge (or
+    None) and a restart period to sweep."""
+    form = draw(st.sampled_from(["generator", "explicit"]), label="form")
+    excluded = ("timeline", "timeline.initial_means") if form == "generator" else (
+        "generator.n_changes",)
+    edge = draw(st.none() | st.sampled_from([e for e in LIBRARY_EDGES if e not in excluded]),
+                label="edge")
+    mode = draw(st.sampled_from(MODES), label="mode")
+    n = draw(st.integers(1, 3), label="N")
+    k = draw(st.integers(n, 4), label="K")
+    n_changes = draw(st.integers(0, 3), label="changes")
+    mu_bar = draw(st.floats(0.5, 10.0), label="mu_bar")
+    spec = dict(
+        seed=draw(integers(0, 2**32 - 1), label="generator seed"), n_players=n, n_arms=k,
+        # Below mu_bar / (2 (K - 1)) a free value always exists for a change.
+        delta=draw(st.floats(0.01, 0.45), label="delta fraction") * mu_bar / k,
+        n_changes=n_changes, mu_bar=mu_bar,
+        change_fractions=draw(st.none() | st.tuples(*[st.floats(0, 1)] * n_changes),
+                              label="change_fractions"))
+    fields = dict(
+        version=draw(st.sampled_from([1, np.int64(1)]), label="version"), mode=mode,
+        horizon=draw(integers(max(n_changes + 1, 2 if mode == "meta" else 1), 60), label="T"),
+        restart_period=None if mode == "meta" else draw(st.none() | integers(1, 70), label="H"),
+        seeds=tuple(draw(st.lists(integers(0, 2**32 - 1), min_size=1, max_size=3, unique=True),
+                         label="seeds")),
+        baseline=draw(st.sampled_from(BASELINES), label="baseline"),
+        noise=draw(st.sampled_from(NOISE_FAMILIES), label="noise"),
+        out_dir=draw(st.text("ab_-./%", min_size=1, max_size=8), label="out_dir"))
+    if edge in fields:
+        fields[edge] = draw(st.sampled_from(LIBRARY_EDGES[edge]), label="edge value")
+    elif edge in spec:
+        spec[edge] = draw(st.sampled_from(LIBRARY_EDGES[edge]), label="edge value")
+    elif edge == "generator.n_changes":
+        spec.update(n_changes=fields["horizon"], change_fractions=None)
+    return fields, spec, form, edge, draw(integers(1, 70), label="swept H")
+
+
+def library_config(fields, spec, form, edge):
+    """The ExperimentConfig a library caller builds from the drawn values."""
+    generator = GeneratorSpec(**spec)
+    if form == "generator":
+        return ExperimentConfig(**fields, generator=generator)
+    horizon = 10 if edge == "horizon" else fields["horizon"] + (edge == "timeline")
+    market, timeline = generate_instance(generator, horizon)
+    if edge == "timeline.initial_means":
+        n, k = market.n_players + 1, market.n_arms + 1
+        market = MarketInstance(n, k, ((*map(float, range(n)),),) * k)
+    return ExperimentConfig(**fields, market=market, timeline=timeline)
+
+
+def parent_fault(edge, **values):
+    """A library config that the single validation layer must reject
+    naming ``edge``: a 2x3 generator with one change at T = 50, one value
+    replaced."""
+    fields = dict(version=1, mode="rcb", horizon=50, restart_period=None, seeds=(0,),
+                  baseline="pessimal", noise="gaussian") | values
+    spec = dict(seed=3, n_players=2, n_arms=3, delta=0.1, n_changes=1)
+    return fields, spec, "generator", edge, 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(library_configs())
+@example(parent_fault("horizon", horizon=0))  # the point `rcb sweep --grid T=0` builds
+@example(parent_fault("restart_period", restart_period=0))  # that of `--grid H=0`
+@example(parent_fault("noise", noise="pink"))
+@example(parent_fault("mode", mode="bogus"))
+@example(parent_fault("version", version=7))
+@example(parent_fault("out_dir", out_dir="a\nb"))
+def test_library_configs_run_or_fail_naming_their_field(tmp_path_factory, drawn):
+    """An ExperimentConfig built directly either fails at construction with
+    an InputError naming the field at fault, or runs (T <= 60): the path of
+    ``rcb run`` from the resolved instance to the trace CSVs, and a one-point
+    H sweep. A config holding an edge value does not construct."""
+    fields, spec, form, edge, h = drawn
+    try:
+        config = library_config(fields, spec, form, edge)
+    except InputError as exc:
+        assert edge is not None and exc.field == edge, str(exc)
+        return
+    assert edge is None, f"accepted a config with a bad {edge}"
+    out = tmp_path_factory.mktemp("library")
+    market, timeline = resolve_instance(config)
+    runner = run_rcb_meta if config.mode == "meta" else run_rcb
+    for seed in config.seeds:
+        trace = runner(cli._sim_config(config, seed), market, timeline)
+        write_trace_csv(trace, out / f"trace_seed{seed}.csv", extra_metadata=echo_config(config))
+    if config.mode == "rcb":
+        assert run_sweep(config, "H", [h])[0].restart_period == min(h, config.horizon)
+
+
 def test_generator_spec_rejects_negative_seed():
     with pytest.raises(ConfigError, match="seed"):
         GeneratorSpec(seed=-3, n_players=2, n_arms=2, delta=0.1, n_changes=0)
@@ -616,7 +751,7 @@ def test_generator_rejects_infeasible_spec():
 def test_resolve_explicit_instance_cannot_sweep(tmp_path):
     config = parse_config(write_config(tmp_path, EXPLICIT_CONFIG))
     with pytest.raises(ConfigError):
-        resolve_instance(config, horizon=120)
+        run_sweep(config, "T", [120])
 
 
 # --- sweeps ------------------------------------------------------------------------
@@ -653,6 +788,8 @@ def test_t_sweep_changes_horizon(tmp_path):
     ("H=10,0", "--grid H"),
     ("T=60,1", "--grid T=1"),
     ("T=60,0", "--grid T"),
+    ("T=60,0", "--grid T=0: horizon"),
+    ("H=10,0", "--grid H=0: restart_period"),
     ("L=1,-1", "--grid L"),
     ("L=1,60", "--grid L=60"),
 ])

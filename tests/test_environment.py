@@ -66,6 +66,18 @@ def test_rejects_noop_event():
         flat_timeline(events=(ChangeEvent(5, 0, 0, 0.1),))
 
 
+def test_rejects_second_event_on_a_cell_in_one_round():
+    """Two events on one cell and round would count two changes, even where
+    the second restores the mean in force before the round."""
+    for second in (0.1, 0.4):
+        with pytest.raises(InputError, match="events: second event at t=5 for player 0, arm 0"):
+            flat_timeline(events=(ChangeEvent(5, 0, 0, 0.3), ChangeEvent(5, 0, 0, second)))
+    # The same cell in another round, or another cell in the same round, is fine.
+    timeline = flat_timeline(events=(ChangeEvent(5, 0, 0, 0.3), ChangeEvent(6, 0, 0, 0.4),
+                                     ChangeEvent(5, 1, 0, 0.3)))
+    assert total_changes(timeline) == 3
+
+
 def test_rejects_event_mean_above_mu_bar():
     with pytest.raises(AssumptionError):
         flat_timeline(events=(ChangeEvent(5, 0, 0, 1.2),))

@@ -20,6 +20,7 @@ from competing_bandits import (
     enumerate_stable_matchings,
     optimal_pessimal,
 )
+from competing_bandits import market as market_module
 from competing_bandits.cli import random_market_and_orderings
 from competing_bandits.market import player_proposing_da
 from market_oracle import (all_triplets, blocked_set, is_cover, player_proposing_da_reference,
@@ -394,3 +395,15 @@ def test_is_cover_empty_triplets():
 def test_is_cover_single_triplet_suffices():
     market, orderings = conflict_2x2()
     assert is_cover([BlockingTriplet(0, 0, 1)], [Matching((1, 0))], orderings, market)
+
+
+def test_enumeration_checks_the_orderings_once(monkeypatch):
+    """The orderings are checked once per enumeration, not once for each of
+    the 720 candidate matchings of a 6x6 market."""
+    calls = []
+    check = market_module._check_orderings
+    monkeypatch.setattr(market_module, "_check_orderings",
+                        lambda *args: calls.append(args) or check(*args))
+    market, orderings = random_market_and_orderings(6, 6, np.random.default_rng(0))
+    assert enumerate_stable_matchings(orderings, market)
+    assert len(calls) == 1
