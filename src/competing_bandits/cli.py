@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import ExperimentConfig, echo_config, parse_config, resolve_instance
+from .config import ExperimentConfig, GeneratorSpec, echo_config, parse_config, resolve_instance
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
 from .errors import CompetingBanditsError, ConfigError, InputError
@@ -62,9 +62,9 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
         raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
     if config.mode == "meta":
         raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
-    if grid_key != "H" and config.generator is None:
+    spec = config.instance
+    if grid_key != "H" and not isinstance(spec, GeneratorSpec):
         raise ConfigError("sweeping T or L requires a [generator] section", f"--grid {grid_key}")
-    spec = config.generator
     shared = resolve_instance(config) if grid_key == "H" else None  # every H point runs it
     points = []
     for value in grid_values:
@@ -75,8 +75,8 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
                 point = replace(config, restart_period=value)
             else:  # a point at the spec's own change count keeps its fractions
                 fractions = spec.change_fractions if value == spec.n_changes else None
-                point = replace(config, generator=replace(spec, n_changes=value,
-                                                          change_fractions=fractions))
+                point = replace(config, instance=replace(spec, n_changes=value,
+                                                         change_fractions=fractions))
             points.append((value, point, *(shared or resolve_instance(point))))
         except InputError as exc:  # named by the point, its field unqualified as in a run config
             raise type(exc)(str(exc).removeprefix("generator."),

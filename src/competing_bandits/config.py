@@ -93,9 +93,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...]
     baseline: str
     noise: str
-    market: Optional[MarketInstance] = None
-    timeline: Optional[MeanRewardTimeline] = None
-    generator: Optional[GeneratorSpec] = None
+    instance: GeneratorSpec | tuple[MarketInstance, MeanRewardTimeline]
     out_dir: str = "."
 
     def __post_init__(self):
@@ -115,15 +113,19 @@ class ExperimentConfig:
                               f"got {self.restart_period}", "restart_period")
         if self.mode == "meta":
             build_ensemble(self.horizon)  # the meta loop's own check: T >= 2
-        if self.generator is not None:
-            self.generator.check_horizon(self.horizon, "generator.")
-        elif self.timeline is not None and self.timeline.horizon != self.horizon:
-            raise ConfigError(f"horizon {self.timeline.horizon} differs from the experiment's "
-                              f"{self.horizon}", "timeline")
-        elif (self.market is not None and self.timeline is not None
-              and (self.timeline.n_players, self.timeline.n_arms)
-              != (self.market.n_players, self.market.n_arms)):
-            raise ConfigError("shape disagrees with [market] sizes", "timeline.initial_means")
+        match self.instance:
+            case GeneratorSpec():
+                self.instance.check_horizon(self.horizon, "generator.")
+            case tuple((MarketInstance() as market, MeanRewardTimeline() as timeline)):
+                if timeline.horizon != self.horizon:
+                    raise ConfigError(f"horizon {timeline.horizon} differs from the experiment's "
+                                      f"{self.horizon}", "timeline")
+                if (timeline.n_players, timeline.n_arms) != (market.n_players, market.n_arms):
+                    raise ConfigError("shape disagrees with [market] sizes",
+                                      "timeline.initial_means")
+            case _:
+                raise ConfigError("must be a GeneratorSpec or a (market, timeline) tuple, "
+                                  f"got {self.instance!r:.80}", "instance")
         # A line break would end the trace header's ``# out =`` comment line.
         if not isinstance(self.out_dir, str) or "\n" in self.out_dir or "\r" in self.out_dir:
             raise ConfigError(f"must be one line of text, got {self.out_dir!r}", "out_dir")
@@ -227,11 +229,9 @@ def generate_instance(
 def resolve_instance(config: ExperimentConfig) -> tuple[MarketInstance, MeanRewardTimeline]:
     """The config's market/timeline pair: the explicit one, or one generated
     for the config's horizon."""
-    if config.generator is not None:
-        return generate_instance(config.generator, config.horizon)
-    if config.market is None or config.timeline is None:
-        raise ConfigError("config has neither an explicit instance nor a generator")
-    return config.market, config.timeline
+    if isinstance(config.instance, GeneratorSpec):
+        return generate_instance(config.instance, config.horizon)
+    return config.instance
 
 
 def _rows(text: str) -> list[str]:
@@ -383,7 +383,7 @@ def parse_config(path) -> ExperimentConfig:
     sections = {name: _read_section(parser, name) for name in parser.sections()}
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    experiment = sections.pop("experiment")
+    experiment = sections.pop("experiment") | {"instance": GeneratorSpec(0, 1, 1, 1, 0)}
     makers = {"generator": GeneratorSpec, "market": MarketInstance,
               "timeline": partial(MeanRewardTimeline, experiment["horizon"])}
     try:
@@ -392,21 +392,23 @@ def parse_config(path) -> ExperimentConfig:
         for name in () if "generator" in sections else ("market", "timeline"):
             if name not in sections:
                 raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
-        instance = {n: _build(n, make, sections[n]) for n, make in makers.items() if n in sections}
-    except ConfigError:
-        _build("experiment", ExperimentConfig, experiment)  # [experiment]'s errors come first
+        built = [_build(n, make, sections[n]) for n, make in makers.items() if n in sections]
+    except ConfigError:  # [experiment]'s errors come first; its placeholder spec fits any T
+        _build("experiment", ExperimentConfig, experiment)
         raise
-    return _build("experiment", ExperimentConfig, experiment | instance)
+    instance = tuple(built) if len(built) == 2 else built[0]  # (market, timeline) or a spec
+    return _build("experiment", ExperimentConfig, experiment | {"instance": instance})
 
 
 def echo_config(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Every resolved field (defaults included) as key/value pairs in grammar
     order, [experiment] keys bare and the others as ``section.key``. A None
     field echoes its key's default text, or nothing if the key has none."""
+    sources = ({"generator": config.instance} if isinstance(config.instance, GeneratorSpec)
+               else dict(zip(("market", "timeline"), config.instance)))
     pairs = []
-    for name, keys in _GRAMMAR.items():
-        source = getattr(config, name, config)  # [experiment] keys are fields of config
-        for row in keys if source is not None else ():
+    for name, source in {"experiment": config, **sources}.items():
+        for row in _GRAMMAR[name]:
             value = getattr(source, row.field)
             text = row.default if value is None else row.echo(value)
             if text is not None:

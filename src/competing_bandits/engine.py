@@ -125,7 +125,7 @@ class SimulationTrace:
             return self.optimal_arms
         if baseline == "pessimal":
             return self.pessimal_arms
-        raise InputError(f"unknown baseline {baseline!r}; must be one of {BASELINES}")
+        raise InputError(f"must be one of {BASELINES}, got {baseline!r}", "baseline")
 
 
 @dataclass(frozen=True)
@@ -149,9 +149,9 @@ def compute_restart_period(horizon: int, change_count: int) -> int:
     _check_integer("horizon", horizon)
     _check_integer("change_count", change_count)
     if horizon < 1:
-        raise InputError("horizon must be at least 1")
+        raise InputError(f"must be at least 1, got {horizon}", "horizon")
     if change_count < 0:
-        raise InputError("change count cannot be negative")
+        raise InputError(f"cannot be negative, got {change_count}", "change_count")
     if change_count == 0:
         return horizon
     h = int(round(math.sqrt(horizon / change_count)))
@@ -181,7 +181,7 @@ def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: Me
     for seed in seeds:
         _check_integer("seeds", seed)
     if len(seeds) == 0 or min(seeds) < 0:
-        raise InputError(f"seeds must name at least one seed, none negative, got {list(seeds)}")
+        raise InputError(f"must name at least one seed, none negative, got {list(seeds)}", "seeds")
     horizon = config.horizon
     if config.restart_period is not None:
         period = min(config.restart_period, horizon)
@@ -202,9 +202,8 @@ class _Run:
                  timeline: MeanRewardTimeline, seeds: Sequence[int],
                  benchmarks: Sequence[tuple[Matching, Matching]], **trace_fields):
         if config.horizon != timeline.horizon:
-            raise InputError(
-                f"config horizon {config.horizon} != timeline horizon {timeline.horizon}"
-            )
+            raise InputError(f"horizon {timeline.horizon} differs from the config's "
+                             f"{config.horizon}", "timeline")
         self.market = market
         self.noise = config.noise
         self.rngs = [np.random.default_rng(s) for s in seeds]

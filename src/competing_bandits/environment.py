@@ -185,5 +185,5 @@ def stable_benchmarks(
     segment, aligned with ``timeline.segments()``, built from the true
     means."""
     if timeline.n_players != market.n_players or timeline.n_arms != market.n_arms:
-        raise InputError("timeline and market dimensions disagree")
+        raise InputError("dimensions disagree with the market's", "timeline")
     return [optimal_pessimal(true_orderings(means), market) for _, _, means in timeline.segments()]

@@ -32,8 +32,10 @@ class ConfigError(InputError):
 
 def _check_integer(name: str, value, error: type = InputError) -> None:
     """``error`` naming ``name`` unless ``value`` is an integer (numpy
-    integers included)."""
+    integers included, booleans not)."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is 1
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise error(f"expected an integer, got {value!r}", name) from None

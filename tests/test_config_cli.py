@@ -94,8 +94,9 @@ def test_parse_explicit_config_defaults(tmp_path):
     assert config.seeds == (0,)
     assert config.baseline == "pessimal"
     assert config.noise == "gaussian"
-    assert config.market.n_players == 2
-    assert total_changes(config.timeline) == 1
+    market, timeline = config.instance
+    assert market.n_players == 2
+    assert total_changes(timeline) == 1
 
 
 def test_echo_reports_every_default(tmp_path):
@@ -110,7 +111,7 @@ def test_echo_reports_every_default(tmp_path):
 
 def test_parse_generator_config(tmp_path):
     config = parse_config(write_config(tmp_path, GENERATOR_CONFIG))
-    assert config.generator == GeneratorSpec(
+    assert config.instance == GeneratorSpec(
         seed=7, n_players=2, n_arms=3, delta=0.1, n_changes=3
     )
     assert config.seeds == (0, 1)
@@ -283,7 +284,7 @@ def generator_configs(draw):
                                   unique=True), label="seeds")),
         baseline=draw(st.sampled_from(BASELINES), label="baseline"),
         noise=draw(st.sampled_from(NOISE_FAMILIES), label="noise"),
-        generator=generator,
+        instance=generator,
         out_dir=draw(st.text(string.ascii_letters + string.digits + "_-./", min_size=1,
                              max_size=12), label="out"),
     )
@@ -501,7 +502,7 @@ def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, drawn):
         code = main(["run", "--config", str(path), "--out", str(workdir / "out")])
     assert code == 0, err.getvalue()
     echoed = parse_config(write_config(workdir, ini_from_echo(echo_config(config)), "echo.ini"))
-    if config.generator is not None:
+    if isinstance(config.instance, GeneratorSpec):
         assert echoed == config
     else:  # timelines have no __eq__
         assert echo_config(echoed) == echo_config(config)
@@ -510,27 +511,30 @@ def test_grammar_configs_run_or_fail_naming_a_key(tmp_path_factory, drawn):
 # --- library-boundary fuzzing ----------------------------------------------------------
 #
 # ExperimentConfigs are built directly, as a library caller builds them, in
-# either instance form: a GeneratorSpec, or the market and timeline it
-# generates passed as objects. Integers come as Python or numpy integers. At
-# most one value is an edge that no valid config holds (a float in an
-# integer field, a value below its minimum, an unknown option name, a line
-# break in out_dir, changes or a timeline that do not fit the horizon, a
-# market of another size), keyed by the field its error must name.
+# either instance form: a GeneratorSpec, or the (market, timeline) tuple it
+# generates. Integers come as Python or numpy integers. At most one value is
+# an edge that no valid config holds (a float or a bool in an integer field,
+# a value below its minimum, an unknown option name, a line break in out_dir,
+# an instance in neither form or in both, changes or a timeline that do not
+# fit the horizon, a market of another size), keyed by the field its error
+# must name.
 
 LIBRARY_EDGES = {
-    "version": [7, 0, 1.0],
+    "version": [7, 0, 1.0, True],
     "mode": ["bogus", "oracle-check"],
-    "horizon": [0, -1, 30.0],
-    "restart_period": [0, -5, 2.5],
-    "seeds": [(), (-1,), (3, 3), (1.5,), (np.int64(-2),)],
+    "horizon": [0, -1, 30.0, True],
+    "restart_period": [0, -5, 2.5, True],
+    "seeds": [(), (-1,), (3, 3), (1.5,), (np.int64(-2),), (True,), (0, False)],
     "baseline": ["best"],
     "noise": ["pink", "cauchy"],
     "out_dir": ["a\nb", "a\rb", pathlib.PurePath("out")],
     # GeneratorSpec fields
-    "seed": [-1, 2.0],
-    "n_players": [0],
-    "n_changes": [-1],
+    "seed": [-1, 2.0, True],
+    "n_players": [0, True],
+    "n_changes": [-1, False],
     "delta": [0.0, -0.1, math.nan],
+    # Instance forms, named as in library_config
+    "instance": ["none", "market alone", "reversed pair", "list pair", "spec and pair"],
     # Rules spanning the instance and the experiment
     "generator.n_changes": [],  # as many changes as rounds
     "timeline": [],  # an explicit timeline one round longer than the horizon
@@ -546,8 +550,8 @@ def integers(lo, hi):
 @st.composite
 def library_configs(draw):
     """(fields, spec, form, edge, h): the ExperimentConfig fields other than
-    the instance, the GeneratorSpec fields, the instance form, the edge (or
-    None) and a restart period to sweep."""
+    the instance, the GeneratorSpec fields, the instance form (an edge form
+    at the instance edge), the edge (or None) and a restart period to sweep."""
     form = draw(st.sampled_from(["generator", "explicit"]), label="form")
     excluded = ("timeline", "timeline.initial_means") if form == "generator" else (
         "generator.n_changes",)
@@ -578,6 +582,8 @@ def library_configs(draw):
         fields[edge] = draw(st.sampled_from(LIBRARY_EDGES[edge]), label="edge value")
     elif edge in spec:
         spec[edge] = draw(st.sampled_from(LIBRARY_EDGES[edge]), label="edge value")
+    elif edge == "instance":
+        form = draw(st.sampled_from(LIBRARY_EDGES[edge]), label="edge value")
     elif edge == "generator.n_changes":
         spec.update(n_changes=fields["horizon"], change_fractions=None)
     return fields, spec, form, edge, draw(integers(1, 70), label="swept H")
@@ -587,23 +593,26 @@ def library_config(fields, spec, form, edge):
     """The ExperimentConfig a library caller builds from the drawn values."""
     generator = GeneratorSpec(**spec)
     if form == "generator":
-        return ExperimentConfig(**fields, generator=generator)
+        return ExperimentConfig(**fields, instance=generator)
     horizon = 10 if edge == "horizon" else fields["horizon"] + (edge == "timeline")
     market, timeline = generate_instance(generator, horizon)
     if edge == "timeline.initial_means":
         n, k = market.n_players + 1, market.n_arms + 1
         market = MarketInstance(n, k, ((*map(float, range(n)),),) * k)
-    return ExperimentConfig(**fields, market=market, timeline=timeline)
+    instance = {"explicit": (market, timeline), "none": None, "market alone": (market,),
+                "reversed pair": (timeline, market), "list pair": [market, timeline],
+                "spec and pair": (generator, market, timeline)}[form]
+    return ExperimentConfig(**fields, instance=instance)
 
 
-def parent_fault(edge, **values):
+def parent_fault(edge, form="generator", **values):
     """A library config that the single validation layer must reject
-    naming ``edge``: a 2x3 generator with one change at T = 50, one value
-    replaced."""
+    naming ``edge``: a 2x3 generator with one change at T = 50 in instance
+    form ``form``, one value replaced."""
     fields = dict(version=1, mode="rcb", horizon=50, restart_period=None, seeds=(0,),
                   baseline="pessimal", noise="gaussian") | values
     spec = dict(seed=3, n_players=2, n_arms=3, delta=0.1, n_changes=1)
-    return fields, spec, "generator", edge, 1
+    return fields, spec, form, edge, 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -614,11 +623,16 @@ def parent_fault(edge, **values):
 @example(parent_fault("mode", mode="bogus"))
 @example(parent_fault("version", version=7))
 @example(parent_fault("out_dir", out_dir="a\nb"))
+@example(parent_fault("instance", form="none"))  # no instance at all
+@example(parent_fault("instance", form="spec and pair"))  # both instance forms
+@example(parent_fault("instance", form="list pair"))  # a list would make the config unhashable
+@example(parent_fault("version", version=True, seeds=(True,)))  # booleans are not integers
 def test_library_configs_run_or_fail_naming_their_field(tmp_path_factory, drawn):
     """An ExperimentConfig built directly either fails at construction with
-    an InputError naming the field at fault, or runs (T <= 60): the path of
-    ``rcb run`` from the resolved instance to the trace CSVs, and a one-point
-    H sweep. A config holding an edge value does not construct."""
+    an InputError naming the field at fault, or echoes to text that
+    ``parse_config`` reads back and runs (T <= 60): the path of ``rcb run``
+    from the resolved instance to the trace CSVs, and a one-point H sweep. A
+    config holding an edge value does not construct."""
     fields, spec, form, edge, h = drawn
     try:
         config = library_config(fields, spec, form, edge)
@@ -627,11 +641,17 @@ def test_library_configs_run_or_fail_naming_their_field(tmp_path_factory, drawn)
         return
     assert edge is None, f"accepted a config with a bad {edge}"
     out = tmp_path_factory.mktemp("library")
+    echo = echo_config(config)
+    echoed = parse_config(write_config(out, ini_from_echo(echo), "echo.ini"))
+    if form == "generator":
+        assert echoed == config
+    else:  # timelines have no __eq__
+        assert echo_config(echoed) == echo
     market, timeline = resolve_instance(config)
     runner = run_rcb_meta if config.mode == "meta" else run_rcb
     for seed in config.seeds:
         trace = runner(cli._sim_config(config, seed), market, timeline)
-        write_trace_csv(trace, out / f"trace_seed{seed}.csv", extra_metadata=echo_config(config))
+        write_trace_csv(trace, out / f"trace_seed{seed}.csv", extra_metadata=echo)
     if config.mode == "rcb":
         assert run_sweep(config, "H", [h])[0].restart_period == min(h, config.horizon)
 
@@ -651,9 +671,11 @@ def test_generator_spec_rejects_negative_seed():
     ("n_players", {"n_players": 2.0}),
     ("n_arms", {"n_arms": 2.0}),
     ("n_changes", {"n_changes": 0.0}),
+    ("seed", {"seed": True, "n_players": True, "n_arms": True}),
 ])
 def test_generator_spec_rejects_non_finite_numbers(field, values):
-    """Non-finite floats, and floats in integer fields, fail naming the field."""
+    """Non-finite floats, and floats or booleans in integer fields, fail
+    naming the field."""
     message = f"{field}: (must be finite|expected an integer)"
     with pytest.raises(ConfigError, match=message) as err:
         GeneratorSpec(**{"seed": 0, "n_players": 2, "n_arms": 2, "delta": 0.1,

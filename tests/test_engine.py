@@ -74,10 +74,12 @@ def test_restart_period_clamped_to_unit():
 
 
 def test_restart_period_rejects_bad_inputs():
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         compute_restart_period(0, 1)
-    with pytest.raises(InputError):
+    assert err.value.field == "horizon"
+    with pytest.raises(InputError) as err:
         compute_restart_period(10, -1)
+    assert err.value.field == "change_count"
     # A float fails naming its argument instead of coming back as the period.
     with pytest.raises(InputError, match="horizon: expected an integer"):
         compute_restart_period(5.5, 0)
@@ -119,6 +121,7 @@ def test_config_rejects_bad_values():
     ("restart_period", {"restart_period": 2.5}),
     ("seed", {"seed": 1.5}),
     ("horizon", {"horizon": 4.0}),
+    ("horizon", {"horizon": True, "restart_period": True, "seed": False}),
 ])
 def test_config_rejects_non_integer_fields(field, values):
     with pytest.raises(InputError, match=f"{field}: expected an integer"):
@@ -127,15 +130,17 @@ def test_config_rejects_non_integer_fields(field, values):
 
 def test_run_rejects_horizon_mismatch():
     market, timeline = single_player_setup(10)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         run_rcb(SimulationConfig(20), market, timeline)
+    assert err.value.field == "timeline"
 
 
 def test_run_rejects_shape_mismatch():
     market = MarketInstance(2, 2, ((2.0, 1.0), (1.0, 2.0)))
     _, timeline = single_player_setup(10)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as err:
         run_rcb(SimulationConfig(10), market, timeline)
+    assert err.value.field == "timeline"
 
 
 # --- loop mechanics ---------------------------------------------------------------
@@ -360,10 +365,12 @@ def test_lockstep_groups_equal_one_block_per_group(data):
 
 def test_batched_run_rejects_empty_seed_list():
     market, timeline = single_player_setup(5)
-    with pytest.raises(InputError, match="seeds"):
+    with pytest.raises(InputError, match="seeds") as err:
         run_rcb_seeds(SimulationConfig(5), market, timeline, [])
-    with pytest.raises(InputError, match="negative"):
+    assert err.value.field == "seeds"
+    with pytest.raises(InputError, match="negative") as err:
         run_rcb_seeds(SimulationConfig(5), market, timeline, [0, -1])
+    assert err.value.field == "seeds"
 
 
 def test_batched_run_rejects_non_integer_seed():
@@ -426,8 +433,9 @@ def test_regret_uses_true_means_not_samples():
     assert np.allclose(report.increments, expected)
     assert np.allclose(report.cumulative, np.cumsum(expected, axis=0))
     assert np.allclose(report.final(), report.cumulative[-1])
-    with pytest.raises(InputError, match="median"):
+    with pytest.raises(InputError, match="median") as err:
         regret_report(trace, "median")
+    assert err.value.field == "baseline"
 
 
 def test_optimal_regret_dominates_pessimal_regret():
