@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -81,12 +82,11 @@ class SimulationTrace:
     """Per-round record of a run plus the resolved run parameters.
 
     ``segments`` are the timeline's constant segments as (first round, last
-    round, means); ``true_means`` is derived from them on every access.
-    ``optimal_arms`` and ``pessimal_arms`` hold one benchmark assignment per
-    segment, aligned with ``segments``. ``schedule`` holds one entry per
-    ``play`` call; blocks, restarts and meta epochs are read from it. The
-    traces of one batch share ``segments``, the benchmark arm lists and
-    ``schedule``.
+    round, means). ``optimal_arms`` and ``pessimal_arms`` hold one benchmark
+    assignment per segment, aligned with ``segments``. ``schedule`` holds one
+    entry per ``play`` call; blocks, restarts and meta epochs are read from
+    it. The traces of one batch share ``segments``, the benchmark arm lists
+    and ``schedule``.
     """
 
     n_players: int
@@ -107,20 +107,8 @@ class SimulationTrace:
     # Meta mode's per-epoch summaries; None for plain runs.
     epoch_summaries: Optional[list] = None
 
-    @property
-    def true_means(self) -> np.ndarray:
-        """(T, N) true means of the matched arms, derived on every access
-        from the segments."""
-        offsets = np.arange(self.n_players) * len(self.segments[0][2][0])
-        out = np.empty(self.matchings.shape)
-        for start, end, means in self.segments:
-            # The cells are in range; "clip" lets take write into out unbuffered.
-            np.ravel(means).take(self.matchings[start - 1:end] + offsets,
-                                 out=out[start - 1:end], mode="clip")
-        return out
-
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
-        baseline = baseline or self.baseline
+        baseline = self.baseline if baseline is None else baseline
         if baseline == "optimal":
             return self.optimal_arms
         if baseline == "pessimal":
@@ -130,13 +118,16 @@ class SimulationTrace:
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Regret curves derived from a trace with true (not sampled) means."""
+    """Regret derived from a trace with true (not sampled) means."""
 
-    baseline: str
     increments: np.ndarray  # (T, N)
-    cumulative: np.ndarray  # (T, N)
     block_sums: np.ndarray  # (blocks, N)
     block_bounds: np.ndarray  # (blocks, 2) int64, 1-based inclusive round ranges
+
+    @cached_property
+    def cumulative(self) -> np.ndarray:
+        """(T, N) running sum of ``increments``, computed when first read."""
+        return np.cumsum(self.increments, axis=0)
 
     def final(self) -> np.ndarray:
         """Cumulative regret per player at the horizon."""
@@ -325,23 +316,23 @@ class _Run:
 
 
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:
-    """Cumulative and per-block regret against the chosen benchmark,
+    """Per-round and per-block regret against the chosen benchmark,
     computed from the true (not sampled) means of the matched arms."""
-    baseline = baseline or trace.baseline
-    # The benchmark is constant within a segment: one row fills each.
+    offsets = np.arange(trace.n_players) * len(trace.segments[0][2][0])
     increments = np.empty(trace.matchings.shape)
     for (start, end, means), arms in zip(trace.segments, trace.benchmark_arms(baseline)):
-        increments[start - 1:end] = [row[arm] for row, arm in zip(means, arms)]
-    increments -= trace.true_means
-    cumulative = np.cumsum(increments, axis=0)
+        # Within a segment the increment depends only on the matched cell
+        # p * K + a: one table of benchmark minus mean per segment.
+        gaps = [row[b] - v for row, b in zip(means, arms) for v in row]
+        # The cells are in range; "clip" lets take write into out unbuffered.
+        np.take(gaps, trace.matchings[start - 1:end] + offsets, out=increments[start - 1:end],
+                mode="clip")
 
     # Each block's first row, 0-based.
     starts = np.concatenate([np.arange(start - 1, end, period)
                              for start, end, period in trace.schedule])
     return RegretReport(
-        baseline=baseline,
         increments=increments,
-        cumulative=cumulative,
         block_sums=np.add.reduceat(increments, starts, axis=0),
         block_bounds=np.column_stack((starts + 1, np.append(starts[1:], trace.horizon))),
     )

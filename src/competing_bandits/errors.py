@@ -30,12 +30,12 @@ class ConfigError(InputError):
     """An experiment configuration file failed to parse or validate."""
 
 
-def _check_integer(name: str, value, error: type = InputError) -> None:
-    """``error`` naming ``name`` unless ``value`` is an integer (numpy
-    integers included, booleans not)."""
+def _check_integer(name: str, value, error: type = InputError) -> int:
+    """``value`` as a Python int if it is an integer (numpy integers
+    included, booleans not); else ``error`` naming ``name``."""
     try:
         if isinstance(value, bool):  # operator.index(True) is 1
             raise TypeError
-        operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise error(f"expected an integer, got {value!r}", name) from None

@@ -73,7 +73,7 @@ class RankOrdering:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(_check_integer("ranks", r) for r in self.ranks)
         if sorted(ranks) != list(range(len(ranks))):
             raise InputError(f"player {self.owner}: ranks must be a permutation of arm indices")
         object.__setattr__(self, "ranks", ranks)
@@ -90,7 +90,7 @@ class Matching:
     assignment: tuple[int, ...]
 
     def __post_init__(self):
-        assignment = tuple(int(a) for a in self.assignment)
+        assignment = tuple(_check_integer("assignment", a) for a in self.assignment)
         if len(set(assignment)) != len(assignment):
             raise InputError("matching must be injective")
         object.__setattr__(self, "assignment", assignment)

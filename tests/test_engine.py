@@ -32,7 +32,7 @@ from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS
 from competing_bandits.environment import NOISE_FAMILIES, true_orderings
-from trace_oracle import schedule_columns, write_trace_csv_rows
+from trace_oracle import matched_means, schedule_columns, write_trace_csv_rows
 
 
 def conflict_setup(horizon, events=()):
@@ -317,8 +317,9 @@ def test_batched_runs_equal_sequential_runs(data):
     assert [trace.seed for trace in batched] == seeds
     for seed, trace in zip(seeds, batched):
         alone = run_rcb(replace(config, seed=seed), market, timeline)
-        for name in ("matchings", "rewards", "true_means"):
+        for name in ("matchings", "rewards"):
             assert np.array_equal(getattr(trace, name), getattr(alone, name)), name
+        assert np.array_equal(matched_means(trace), matched_means(alone))
         assert trace.schedule == alone.schedule
         assert trace.restart_period == alone.restart_period
 
@@ -392,27 +393,18 @@ def test_benchmarks_recorded_from_true_means():
     assert benchmark_rows(trace, "optimal") == [[0.9, 0.3]] * 20
 
 
-def test_true_means_are_the_matched_arms_means():
-    market, timeline = conflict_setup(40, (ChangeEvent(15, 0, 1, 0.95),
-                                           ChangeEvent(30, 1, 0, 0.1)))
-    trace = run_rcb(SimulationConfig(40, seed=4), market, timeline)
-    for t, (arms, means) in enumerate(zip(trace.matchings.tolist(),
-                                          trace.true_means.tolist()), start=1):
-        assert means == [means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
-
-
 def test_true_means_and_benchmarks_per_segment():
-    """The true means a trace derives from its segments, its per-segment
-    benchmark arms and the regret report's increments, on a trace whose
-    segments start on the first, the last and inner rounds, against each
-    round's means and DA on its true orderings. The benchmark flips in the
-    last segment, so a misaligned one fails."""
+    """The matched arms' true means expanded from a trace's segments, its
+    per-segment benchmark arms and the regret report's increments, on a
+    trace whose segments start on the first, the last and inner rounds,
+    against each round's means and DA on its true orderings. The benchmark
+    flips in the last segment, so a misaligned one fails."""
     events = tuple(ChangeEvent(t, t % 2, 1 - t % 2, 0.95 * t / 12) for t in (2, 3, 7, 12))
     market, timeline = conflict_setup(12, events)
     trace = run_rcb(SimulationConfig(12, seed=3), market, timeline)
     expected = [[means_at(timeline, t)[i][a] for i, a in enumerate(arms)]
                 for t, arms in enumerate(trace.matchings.tolist(), start=1)]
-    assert trace.true_means.tolist() == expected
+    assert matched_means(trace).tolist() == expected
     baselines = ("optimal", "pessimal")
     rows = {b: benchmark_rows(trace, b) for b in baselines}
     increments = {b: regret_report(trace, b).increments for b in baselines}
@@ -422,20 +414,71 @@ def test_true_means_and_benchmarks_per_segment():
             bench = [row[a] for row, a in zip(means, benchmark.assignment)]
             assert rows[b][t - 1] == bench, (b, t)
             assert increments[b][t - 1].tolist() == (
-                np.array(bench) - trace.true_means[t - 1]).tolist(), (b, t)
+                np.array(bench) - expected[t - 1]).tolist(), (b, t)
 
 
 def test_regret_uses_true_means_not_samples():
     market, timeline = conflict_setup(40)
     trace = run_rcb(SimulationConfig(40, seed=1, noise="gaussian"), market, timeline)
     report = regret_report(trace, "pessimal")
-    expected = np.array(benchmark_rows(trace, "pessimal")) - trace.true_means
+    expected = np.array(benchmark_rows(trace, "pessimal")) - matched_means(trace)
     assert np.allclose(report.increments, expected)
     assert np.allclose(report.cumulative, np.cumsum(expected, axis=0))
     assert np.allclose(report.final(), report.cumulative[-1])
-    with pytest.raises(InputError, match="median") as err:
-        regret_report(trace, "median")
-    assert err.value.field == "baseline"
+    # Only None means the trace's own baseline; an empty name is rejected.
+    for bad in ("median", ""):
+        with pytest.raises(InputError, match="baseline: must be one of") as err:
+            regret_report(trace, bad)
+        assert err.value.field == "baseline"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_regret_equals_round_by_round_derivation(data):
+    """On generated instances (N = 1 included, K >= N), every noise family,
+    both baselines, H = 1, auto and T, and rcb and meta runs: each increment
+    is the round's benchmark mean minus the matched arm's mean from
+    ``means_at``, bit for bit, with the benchmark from DA on the round's
+    true orderings; ``final`` is the last row of the sequential running sum,
+    bit for bit (a pairwise sum differs at N = 1); and the block sums and
+    bounds follow the blocks of ``schedule_columns``."""
+    n = data.draw(st.integers(1, 3), label="N")
+    k = data.draw(st.integers(n, 4), label="K")
+    horizon = data.draw(st.integers(2, 40), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    config = SimulationConfig(horizon, data.draw(st.sampled_from([1, None, horizon]), label="H"),
+                              seed=data.draw(st.integers(0, 3), label="seed"),
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"),
+                              baseline=data.draw(st.sampled_from(engine.BASELINES),
+                                                 label="baseline"))
+    if data.draw(st.booleans(), label="meta"):
+        trace = run_rcb_meta(replace(config, restart_period=None), market, timeline)
+    else:
+        trace = run_rcb(config, market, timeline)
+    benchmarks = {}  # per distinct mean matrix and baseline: the benchmark arms
+    for t in range(1, horizon + 1):
+        means = means_at(timeline, t)
+        if means not in benchmarks:
+            matchings = optimal_pessimal(true_orderings(means), market)
+            benchmarks[means] = {b: m.assignment for b, m in zip(("optimal", "pessimal"),
+                                                                  matchings)}
+    blocks = np.array(schedule_columns(trace)[0])
+    block_rows = [np.flatnonzero(blocks == b) for b in range(1, blocks[-1] + 1)]
+    for baseline in (None, "optimal", "pessimal"):
+        report = regret_report(trace, baseline)
+        for t, arms in enumerate(trace.matchings.tolist(), start=1):
+            means = means_at(timeline, t)
+            bench = benchmarks[means][baseline or config.baseline]
+            expected = [means[i][bench[i]] - means[i][arm] for i, arm in enumerate(arms)]
+            assert report.increments[t - 1].tolist() == expected, (baseline, t)
+        assert report.final().tobytes() == np.cumsum(report.increments, axis=0)[-1].tobytes()
+        assert report.block_bounds.tolist() == [[rows[0] + 1, rows[-1] + 1] for rows in block_rows]
+        # reduceat adds a block's first row to a pairwise sum of the rest.
+        sums = [report.increments[rows].sum(axis=0) for rows in block_rows]
+        assert np.allclose(report.block_sums, sums, rtol=0, atol=1e-12)
 
 
 def test_optimal_regret_dominates_pessimal_regret():

@@ -106,11 +106,25 @@ def test_market_rejects_non_finite_utilities(bad):
 def test_rank_ordering_rejects_non_permutation():
     with pytest.raises(InputError):
         RankOrdering(0, (0, 0, 1))
+    # Entries are not truncated: (0.9, 1.5) would read as (0, 1), (True, False) as (1, 0).
+    for ranks in ((0.9, 1.5), (True, False)):
+        with pytest.raises(InputError, match="expected an integer") as err:
+            RankOrdering(0, ranks)
+        assert err.value.field == "ranks"
+    ranks = RankOrdering(0, np.array([1, 0])).ranks  # numpy integers become ints
+    assert ranks == (1, 0) and all(type(r) is int for r in ranks)
 
 
 def test_matching_rejects_duplicate_arm():
     with pytest.raises(InputError):
         Matching((1, 1))
+    # (0.7, 1.2) would read as (0, 1).
+    for assignment in ((0.7, 1.2), (False, True)):
+        with pytest.raises(InputError, match="expected an integer") as err:
+            Matching(assignment)
+        assert err.value.field == "assignment"
+    assignment = Matching(np.array([1, 0])).assignment
+    assert assignment == (1, 0) and all(type(a) is int for a in assignment)
 
 
 def test_blocking_triplet_rejects_equal_arms():

@@ -25,7 +25,7 @@ from competing_bandits import (
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.environment import NOISE_FAMILIES
 from competing_bandits.meta import default_gamma
-from trace_oracle import schedule_columns
+from trace_oracle import matched_means, schedule_columns
 
 
 def single_player_setup(horizon, means=(0.1, 6.4), mu_bar=6.5):
@@ -172,7 +172,7 @@ def test_single_epoch_equals_plain_run_with_drawn_period():
 
     assert meta.schedule == plain.schedule == [(1, 2, period)]
     assert np.array_equal(meta.matchings, plain.matchings)
-    expected = meta.true_means + rng.standard_normal((2, 1))
+    expected = matched_means(meta) + rng.standard_normal((2, 1))
     assert meta.rewards.tobytes() == expected.tobytes()
 
 

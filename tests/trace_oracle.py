@@ -3,11 +3,14 @@
 
 It is the writer the library shipped before the export became
 column-wise, kept here unchanged apart from its name, the expansion of
-the per-segment benchmark arms to one entry per round and the schedule
+the per-segment benchmark arms to one entry per round, the matched arms'
+true means, which ``matched_means`` expands the same way, and the schedule
 columns, which ``schedule_columns`` expands once above the per-round loop.
 """
 
 import csv
+
+import numpy as np
 
 from competing_bandits.engine import (META_TRACE_COLUMNS, TRACE_COLUMNS, regret_report,
                                       trace_metadata)
@@ -30,13 +33,22 @@ def schedule_columns(trace):
     return blocks, flags, epochs, periods
 
 
+def matched_means(trace):
+    """(T, N) true means of the matched arms, one round at a time: each
+    round's means come from the segment that holds it, expanded from
+    ``trace.segments`` per round like the benchmark arms below."""
+    round_means = [means for start, end, means in trace.segments for _ in range(start, end + 1)]
+    return np.array([[row[arm] for row, arm in zip(round_means[t], arms)]
+                     for t, arms in enumerate(trace.matchings.tolist())])
+
+
 def write_trace_csv_rows(trace, path, extra_metadata=()):
     """Write one row per (round, player) through ``csv.writer``, one round
     at a time; returns the regret report the rows were computed from."""
     report = regret_report(trace)
     bench_arms = [arms for (start, end, _), arms in zip(trace.segments, trace.benchmark_arms())
                   for _ in range(start, end + 1)]
-    true_means = trace.true_means
+    true_means = matched_means(trace)
     block_index, restart_flags, epoch_index, chosen_h = schedule_columns(trace)
     is_meta = trace.epoch_summaries is not None
     columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
