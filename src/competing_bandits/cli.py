@@ -213,11 +213,11 @@ def _cmd_run(args) -> int:
     for seed in config.seeds:
         trace = runner(_sim_config(config, seed), market, timeline)
         trace_path = out_dir / f"trace_{config.mode}_seed{seed}.csv"
-        report = write_trace_csv(trace, trace_path, extra_metadata=metadata)
+        final = write_trace_csv(trace, trace_path, extra_metadata=metadata)
         if config.mode == "meta":
             write_epoch_summary_csv(trace, out_dir / f"epochs_seed{seed}.csv")
         print(f"seed {seed}: wrote {trace_path} "
-              f"(max-player {trace.baseline} regret {report.final().max():.4f})")
+              f"(max-player {trace.baseline} regret {final.max():.4f})")
     return 0
 
 

@@ -45,6 +45,8 @@ META_TRACE_COLUMNS = TRACE_COLUMNS + ("epoch_index", "chosen_H")
 # Rounds per chunk of the trace export; one chunk's column strings are held
 # at a time, so export memory does not grow with the horizon.
 _EXPORT_CHUNK_ROUNDS = 256
+# Noise values per seed and draw in ``_Run.play``, whatever the call's length.
+_NOISE_VALUES = 1 << 16
 # Learner cells (blocks * seeds * players * arms) of one lockstep group in
 # ``_Run.play``; bigger groups pay fewer steps but slower DA and rankings.
 _GROUP_CELLS = 4096
@@ -248,11 +250,13 @@ class _Run:
         n, k = self.market.n_players, self.market.n_arms
         matchings, rewards = self.matchings, self.rewards
         width = rewards.shape[1]
-        # Each seed's noise for the whole range in one draw (the same stream
-        # as one draw per round); each round adds its true means to its row.
-        rows = rewards[start - 1:end]
-        for lo, rng in zip(range(0, width, n), self.rngs):
-            rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
+        # Each seed's noise in consecutive bounded pieces (the same stream as one
+        # draw per round); each round adds its true means to its row.
+        piece = max(1, _NOISE_VALUES // n)
+        for r in range(start - 1, end, piece):
+            rows = rewards[r:min(r + piece, end)]
+            for lo, rng in zip(range(0, width, n), self.rngs):
+                rows[:, lo:lo + n] = draw_noise(rng, self.noise, len(rows) * n).reshape(-1, n)
         # The blocks are independent runs on fixed noise, so a group of them
         # takes one step per in-block round: step j plays round j + 1 of every
         # block, rows lo + j + b * period, through strided row views.
@@ -272,25 +276,20 @@ class _Run:
                 cell_base = self.cell_base[:blocks].ravel()
                 utilities = self.utilities[:len(counts) // n * k]
                 last_rankings = last_arms = None
-            # Each block's segment per step. Steps where one changes, and the
-            # step at which a partial last block drops out of the active prefix,
-            # cut the group's steps into runs of one means vector.
-            seg = bisect_left(ends, lo + 1)
-            if ends[seg] >= min(end, lo + blocks * period):  # all in one segment
-                means = self.segment_means[seg if blocks == 1 else [seg] * blocks].ravel()
-                segment, cuts = None, []
-            else:
-                segment = np.searchsorted(ends, np.minimum(end, np.arange(
-                    lo + 1, lo + 1 + steps)[:, None] + np.arange(blocks) * period))
-                cuts = (np.flatnonzero((segment[1:] != segment[:-1]).any(axis=1)) + 1).tolist()
-            cuts = sorted({0, last, steps, *cuts})
+            # A segment end e among the group's rounds changes a block's means at
+            # step (e - lo) % period. Those steps and the step at which a partial
+            # last block leaves the active prefix cut the steps into runs.
+            changes = ends[bisect_left(ends, lo + 1):
+                           bisect_left(ends, min(end, lo + blocks * period))]
+            cuts = sorted({0, last, steps, *((e - lo) % period for e in changes)})
             for first, after in zip(cuts, cuts[1:]):
                 if first == last:
                     active, stop = active - 1, stop - period
                     counts, neg_means = counts[:active * width], neg_means[:active * width]
                     arm_offset, cell_base = arm_offset[:len(counts)], cell_base[:len(counts)]
-                if segment is not None:
-                    means = self.segment_means[segment[first]].ravel()
+                # Each active block's means: the segment of its round at the run's first step.
+                means = self.segment_means[np.searchsorted(
+                    ends, range(lo + 1 + first, stop + 1 + first, period))].ravel()
                 for j in range(first, after):
                     if j:  # step 0 restarts: cells are restart_cells
                         # ucb_ranking(ucb_values(counts, sums, tau)) bit for bit, as IEEE
@@ -352,10 +351,11 @@ def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
 
 
 def write_trace_csv(trace: SimulationTrace, path,
-                    extra_metadata: Sequence[tuple[str, str]] = ()) -> RegretReport:
+                    extra_metadata: Sequence[tuple[str, str]] = ()) -> np.ndarray:
     """Write one row per (round, player); resolved parameters go into
     leading '#' comment lines so the file alone reproduces the run.
-    Returns the regret report the rows were computed from.
+    Returns each player's cumulative regret at the horizon, bit for bit
+    ``regret_report(trace).final()``.
 
     Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``).
     Within a segment a row's true mean, benchmark arm and regret increment
@@ -364,22 +364,26 @@ def write_trace_csv(trace: SimulationTrace, path,
     restart flag, and in meta mode its epoch and period. Up to
     ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time,
     from a list of six parts per row filled one column at a time."""
-    report = regret_report(trace)
+    metadata = list(trace_metadata(trace)) + list(extra_metadata)
+    for key, value in metadata:
+        if any(c in f"{key}{value}" for c in "\n\r"):
+            raise InputError(f"must be one line each, got {key!r} = {value!r}", "extra_metadata")
     n, k = trace.n_players, len(trace.segments[0][2][0])
     offsets = np.arange(n) * k
     is_meta = trace.epoch_summaries is not None
-    columns = META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS
     player_arm = [f"{p},{a}," for p in range(n) for a in range(k)]  # cell p * K + a
-    # ",true_mean,benchmark_arm,regret_increment," of cell p * K + a in
+    # (true mean, benchmark arm, regret increment) of cell p * K + a in
     # segment s at s * N * K + p * K + a; the increment is regret_report's
     # subtraction.
-    tables = [f",{v!r},{b},{row[b] - v!r}," for (_, _, means), arms in zip(
-              trace.segments, trace.benchmark_arms()) for row, b in zip(means, arms) for v in row]
+    per_cell = [(v, b, row[b] - v) for (_, _, means), arms in zip(
+                trace.segments, trace.benchmark_arms()) for row, b in zip(means, arms) for v in row]
+    tables = [f",{v!r},{b},{gap!r}," for v, b, gap in per_cell]
+    gaps = np.array([gap for _, _, gap in per_cell])
     segment_ends = [end for _, end, _ in trace.segments]
     with open(path, "w", newline="") as fh:
-        for key, value in list(trace_metadata(trace)) + list(extra_metadata):
+        for key, value in metadata:
             fh.write(f"# {key} = {value}\n")
-        fh.write(",".join(columns) + "\r\n")
+        fh.write(",".join(META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS) + "\r\n")
         first_block = 1
         for epoch, (start, end, period) in enumerate(trace.schedule):
             tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
@@ -388,10 +392,14 @@ def write_trace_csv(trace: SimulationTrace, path,
                 rounds = np.arange(lo + 1, hi + 1)
                 cells = (trace.matchings[lo:hi] + offsets).ravel()
                 segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
+                # One cumsum's adds, carried across chunks; none at round 1 (0.0 + -0.0 is 0.0).
+                increments = gaps[segment_cells].reshape(-1, n)
+                if lo:
+                    increments[0] += cumulative[-1]
+                cumulative = np.cumsum(increments, axis=0)
                 # Cumulative regret takes few distinct values: repr each distinct
                 # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
-                bits, inverse = np.unique(report.cumulative[lo:hi].ravel().view(np.int64),
-                                          return_inverse=True)
+                bits, inverse = np.unique(cumulative.ravel().view(np.int64), return_inverse=True)
                 distinct = [repr(v) for v in bits.view(np.float64).tolist()]
                 # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
                 # each column fills its parts with one strided slice assignment.
@@ -408,4 +416,4 @@ def write_trace_csv(trace: SimulationTrace, path,
                 parts[4::6] = map(distinct.__getitem__, inverse.tolist())
                 fh.write("".join(parts))
             first_block += len(range(start, end + 1, period))
-    return report
+    return cumulative[-1]

@@ -124,8 +124,8 @@ class MeanRewardTimeline:
 
 def means_at(timeline: MeanRewardTimeline, t: int) -> tuple[tuple[float, ...], ...]:
     """The mean matrix in force at round ``t`` (1-based)."""
-    if not (1 <= t <= timeline.horizon):
-        raise InputError(f"round {t} outside [1, {timeline.horizon}]")
+    if not (1 <= _check_integer("t", t) <= timeline.horizon):
+        raise InputError(f"round {t} outside [1, {timeline.horizon}]", "t")
     # The first segment that ends at round t or later.
     return timeline._segments[bisect.bisect_left(timeline._segments, t, key=lambda s: s[1])][2]
 
@@ -164,7 +164,8 @@ def sample_reward(
 ) -> float:
     """Draw one stochastic reward around the true mean at round ``t``
     (noise families as in ``draw_noise``)."""
-    if not (0 <= player < timeline.n_players and 0 <= arm < timeline.n_arms):
+    if not (0 <= _check_integer("player", player) < timeline.n_players
+            and 0 <= _check_integer("arm", arm) < timeline.n_arms):
         raise InputError("player or arm index out of range")
     return means_at(timeline, t)[player][arm] + draw_noise(rng, noise, 1).item()
 

@@ -2,6 +2,7 @@
 trace export."""
 
 import string
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -31,7 +32,7 @@ from competing_bandits import (
 from competing_bandits import engine
 from competing_bandits.config import GeneratorSpec, generate_instance
 from competing_bandits.engine import _EXPORT_CHUNK_ROUNDS
-from competing_bandits.environment import NOISE_FAMILIES, true_orderings
+from competing_bandits.environment import NOISE_FAMILIES, draw_noise, true_orderings
 from trace_oracle import matched_means, schedule_columns, write_trace_csv_rows
 
 
@@ -364,6 +365,48 @@ def test_lockstep_groups_equal_one_block_per_group(data):
     assert runs[2] == runs[0]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_noise_pieces_and_segment_cuts_keep_every_bit(data):
+    """``play`` draws each seed's noise in pieces of at most
+    ``_NOISE_VALUES`` values and cuts each lockstep group's steps at the
+    segment ends among its rounds. Pieces of 1, 5, 6 or 64 values with small
+    groups give the defaults' matchings, rewards, schedules and meta epoch
+    summaries bit for bit: for several seeds, every noise family, H in
+    {1, 7, auto, T} and instances with many segments, so cuts land mid-group
+    and at step 0. Each rcb reward is also its seed's noise stream, drawn in
+    one call, plus the matched arm's mean expanded round by round."""
+    n = data.draw(st.integers(1, 3), label="N")
+    k = data.draw(st.integers(n, 4), label="K")
+    horizon = data.draw(st.integers(2, 120), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(30, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    noise = data.draw(st.sampled_from(NOISE_FAMILIES), label="noise")
+    config = SimulationConfig(horizon, noise=noise, restart_period=data.draw(
+        st.sampled_from([1, 7, None, horizon]), label="H"))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), label="seeds")
+    values = data.draw(st.sampled_from([1, 5, 6, 64]), label="noise values")
+    cells = data.draw(st.sampled_from([1]) | st.integers(1, 8 * len(seeds) * n * k),
+                      label="group cells")
+
+    def run():
+        traces = run_rcb_seeds(config, market, timeline, seeds)
+        meta = run_rcb_meta(replace(config, restart_period=None, seed=seeds[0]), market, timeline)
+        return traces, [(t.matchings.tobytes(), t.rewards.tobytes(), t.schedule,
+                         repr(t.epoch_summaries)) for t in traces + [meta]]
+
+    traces, expected = run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_NOISE_VALUES", values)
+        patch.setattr(engine, "_GROUP_CELLS", cells)
+        assert run()[1] == expected
+    for seed, trace in zip(seeds, traces):
+        stream = draw_noise(np.random.default_rng(seed), noise, horizon * n).reshape(-1, n)
+        assert (stream + matched_means(trace)).tobytes() == trace.rewards.tobytes()
+
+
 def test_batched_run_rejects_empty_seed_list():
     market, timeline = single_player_setup(5)
     with pytest.raises(InputError, match="seeds") as err:
@@ -565,6 +608,19 @@ def test_trace_csv_round_trips(tmp_path):
     assert float(rows[-1].split(",")[-1]) == pytest.approx(final[1])
 
 
+@pytest.mark.parametrize("pair", [("note", "two\nlines"), ("note", "cr\r"), ("a\nb", "x")])
+def test_trace_csv_rejects_multi_line_metadata(tmp_path, pair):
+    """A line break in a key or value would end its '#' line early and put a
+    bare line before the column header, so it is refused before writing."""
+    market, timeline = conflict_setup(5)
+    trace = run_rcb(SimulationConfig(5), market, timeline)
+    path = tmp_path / "trace.csv"
+    with pytest.raises(InputError, match="one line") as err:
+        write_trace_csv(trace, path, extra_metadata=[("label", "ok"), pair])
+    assert err.value.field == "extra_metadata"
+    assert not path.exists()
+
+
 def test_trace_csv_bytes_reproducible(tmp_path):
     market, timeline = conflict_setup(40)
     payloads = []
@@ -613,10 +669,11 @@ def test_trace_csv_equals_row_wise_oracle(tmp_path_factory, data):
     text = st.text(string.ascii_letters + string.digits + " _.=-", max_size=12)
     extra = data.draw(st.lists(st.tuples(text, text), max_size=3), label="extra_metadata")
     out = tmp_path_factory.mktemp("export")
-    report = write_trace_csv(trace, out / "columns.csv", extra)
+    final = write_trace_csv(trace, out / "columns.csv", extra)
     expected = write_trace_csv_rows(trace, out / "rows.csv", extra)
     assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
-    assert np.array_equal(report.cumulative, expected.cumulative)
+    # Bytes, not values, so a -0.0 final stays apart from 0.0.
+    assert final.tobytes() == expected.final().tobytes()
 
 
 @pytest.mark.parametrize("noise", NOISE_FAMILIES)
@@ -633,6 +690,24 @@ def test_trace_csv_equals_row_wise_oracle_with_short_segments(tmp_path, mode, no
     write_trace_csv(trace, tmp_path / "columns.csv")
     write_trace_csv_rows(trace, tmp_path / "rows.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_trace_csv_memory_does_not_grow_with_the_horizon(tmp_path):
+    """The export holds one chunk at a time: its tracemalloc peak at
+    T = 20,000 exceeds the one at T = 5,000 by under 64 KiB, where a
+    (T, N) float array of the extra rounds alone would take 117 KiB."""
+    peaks = []
+    for horizon in (5_000, 20_000):
+        market, timeline = generate_instance(
+            GeneratorSpec(seed=3, n_players=1, n_arms=2, delta=0.05, n_changes=4), horizon)
+        trace = run_rcb(SimulationConfig(horizon, restart_period=50), market, timeline)
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / f"trace_{horizon}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 1024, peaks
 
 
 def test_trace_csv_keeps_negative_zero(tmp_path):

@@ -146,10 +146,11 @@ def test_two_events_same_cell_apply_in_order():
 
 def test_means_at_rejects_out_of_range_round():
     tl = flat_timeline()
-    with pytest.raises(InputError):
-        means_at(tl, 0)
-    with pytest.raises(InputError):
-        means_at(tl, 11)
+    for t in (0, 11, 2.5, True):
+        with pytest.raises(InputError) as err:
+            means_at(tl, t)
+        assert err.value.field == "t"
+    assert means_at(tl, np.int64(2)) == means_at(tl, 2)
 
 
 def test_segments_partition_the_horizon():
@@ -277,6 +278,16 @@ def test_sample_reward_rejects_bad_indices():
         sample_reward(tl, 2, 0, 1, np.random.default_rng(0))
     with pytest.raises(InputError):
         sample_reward(tl, 0, 3, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("field, args", [
+    ("t", (0, 1, 1.5)), ("t", (0, 1, True)), ("player", (0.0, 1, 1)),
+    ("player", (False, 1, 1)), ("arm", (0, 1.0, 1)), ("arm", (0, True, 1)),
+])
+def test_sample_reward_rejects_non_integer_indices(field, args):
+    with pytest.raises(InputError, match="expected an integer") as err:
+        sample_reward(flat_timeline(), *args, np.random.default_rng(0), "none")
+    assert err.value.field == field
 
 
 def test_sample_reward_tracks_change_events():
