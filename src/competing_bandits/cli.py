@@ -59,7 +59,7 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
     """Each grid point's (value, config, market, timeline), all validated
     and resolved before any point runs, so a bad one fails early."""
     if grid_key not in ("T", "L", "H"):
-        raise InputError(f"grid key must be T, L or H, got {grid_key!r}")
+        raise InputError(f"key must be T, L or H, got {grid_key!r}", "--grid")
     if config.mode == "meta":
         raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
     spec = config.instance

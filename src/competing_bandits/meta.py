@@ -46,11 +46,11 @@ class Exp3State:
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if self.weights.ndim != 1 or len(self.weights) < 1:
-            raise InputError("weights must be a non-empty vector")
+            raise InputError("must be a non-empty vector", "weights")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
-            raise InputError(f"weights must be positive and finite, got {self.weights.tolist()}")
+            raise InputError(f"must be positive and finite, got {self.weights.tolist()}", "weights")
         if not (0 < self.gamma <= 1):
-            raise InputError("exploration rate must be in (0, 1]")
+            raise InputError(f"must be in (0, 1], got {self.gamma}", "gamma")
 
     @classmethod
     def fresh(cls, n_arms: int, gamma: float, rng: np.random.Generator) -> "Exp3State":
@@ -102,9 +102,9 @@ def exp3_select(state: Exp3State) -> int:
 def exp3_update(state: Exp3State, chosen: int, reward: float) -> None:
     """Importance-weighted exponential update of the chosen arm only."""
     if not (0.0 <= reward <= 1.0):
-        raise InputError(f"meta reward {reward} outside [0, 1]")
+        raise InputError(f"must be in [0, 1], got {reward}", "reward")
     if not (0 <= chosen < len(state.weights)):
-        raise InputError(f"arm index {chosen} out of range")
+        raise InputError(f"must be an arm index below {len(state.weights)}, got {chosen}", "chosen")
     p = state.probabilities()[chosen]
     n = len(state.weights)
     state.weights[chosen] *= math.exp(state.gamma * (reward / p) / n)

@@ -3,9 +3,12 @@
 import contextlib
 import io
 import math
+import os
 import pathlib
 import re
 import string
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -872,8 +875,9 @@ def test_cli_sweep_rejects_meta_mode(tmp_path, capsys):
 
 def test_sweep_rejects_unknown_grid_key(tmp_path):
     config = parse_config(write_config(tmp_path, EXPLICIT_CONFIG))
-    with pytest.raises(Exception):
+    with pytest.raises(InputError, match="must be T, L or H, got 'Q'") as err:
         run_sweep(config, "Q", [1])
+    assert err.value.field == "--grid"
 
 
 # --- oracle check --------------------------------------------------------------------
@@ -969,6 +973,29 @@ def header(path):
     return [line.rstrip("\n") for line in path.open() if line.startswith("#")]
 
 
+def test_cli_run_with_play_workers_prints_the_echo_once(tmp_path):
+    """``rcb run`` with stdout piped, so block-buffered, and every ``play``
+    call split over forked workers (threshold 0, one block per group):
+    the workers leave without flushing the inherited buffer, so the
+    resolved-config echo is printed once, and the trace equals the
+    unsplit run's."""
+    path = write_config(tmp_path, SMALL_GENERATOR_CONFIG)
+    script = ("import sys; from competing_bandits import cli, engine; "
+              "engine._FORK_CELLS, engine._GROUP_CELLS = 0, 4; engine._usable_cpus = lambda: 2; "
+              "sys.exit(cli.main(sys.argv[1:]))")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, "run", "--config", str(path),
+                           "--out", str(tmp_path / "split")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("resolved configuration:") == 1
+    assert proc.stdout.count("wrote") == 1
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "whole")]) == 0
+    name = "trace_rcb_seed0.csv"
+    assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
 def test_cli_run_mode_override_is_validated_naming_the_flag(tmp_path, capsys):
     path = write_config(tmp_path, SMALL_GENERATOR_CONFIG)
     out_dir = tmp_path / "out"
@@ -1033,6 +1060,7 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["sweep", "--grid", "H=1,1"], "--grid"),
         (["oracle-check", "--sizes", "2,7"], "--sizes"),
         (["oracle-check", "--seed", "-1"], "--seed"),
+        (["sweep", "--grid", "X=1,2"], "--grid: key must be T, L or H, got 'X'"),
     ],
 )
 def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):

@@ -1,7 +1,9 @@
 """Simulation loop: restart schedule, seed batching, regret accounting,
 trace export."""
 
+import os
 import string
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -405,6 +407,128 @@ def test_noise_pieces_and_segment_cuts_keep_every_bit(data):
     for seed, trace in zip(seeds, traces):
         stream = draw_noise(np.random.default_rng(seed), noise, horizon * n).reshape(-1, n)
         assert (stream + matched_means(trace)).tobytes() == trace.rewards.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_forked_shares_equal_the_unsplit_run(data):
+    """A ``play`` call with at least ``_FORK_CELLS`` of work hands
+    contiguous shares of its lockstep groups to forked workers, one per
+    further usable CPU. With the threshold at 0 and a drawn 2 or 3 CPUs,
+    rcb batches and meta runs equal the unsplit run bit for bit (matchings,
+    rewards, schedules, epoch summaries): for several seeds, every noise
+    family, N <= 5, K in [N, 6], H in {1, 2, 7, auto, T} and small groups,
+    so that shares hold one or more groups and end mid-block. Each fork
+    costs milliseconds, so each example runs one CPU count."""
+    n = data.draw(st.integers(1, 5), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    horizon = data.draw(st.integers(2, 120), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(10, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    noise = data.draw(st.sampled_from(NOISE_FAMILIES), label="noise")
+    config = SimulationConfig(horizon, noise=noise, restart_period=data.draw(
+        st.sampled_from([1, 2, 7, None, horizon]), label="H"))
+    seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), label="seeds")
+    cells = data.draw(st.sampled_from([1]) | st.integers(1, 4 * len(seeds) * n * k),
+                      label="group cells")
+
+    def run(cpus):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_GROUP_CELLS", cells)
+            patch.setattr(engine, "_FORK_CELLS", 0)
+            patch.setattr(engine, "_usable_cpus", lambda: cpus)
+            traces = run_rcb_seeds(config, market, timeline, seeds)
+            traces.append(run_rcb_meta(replace(config, restart_period=None, seed=seeds[0]),
+                                       market, timeline))
+        return [(t.matchings.tobytes(), t.rewards.tobytes(), t.schedule,
+                 repr(t.epoch_summaries)) for t in traces]
+
+    assert run(data.draw(st.sampled_from([2, 3]), label="CPUs")) == run(1)
+
+
+def split_run(monkeypatch, cpus, groups=None):
+    """Force every ``play`` call to split over ``cpus`` CPUs, one restart
+    block per group, with ``groups`` in place of ``_Run._groups``; return a
+    run of 40 blocks."""
+    monkeypatch.setattr(engine, "_FORK_CELLS", 0)
+    monkeypatch.setattr(engine, "_GROUP_CELLS", 4)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    if groups is not None:
+        monkeypatch.setattr(engine._Run, "_groups", groups)
+    market, timeline = conflict_setup(200)
+    return lambda: run_rcb(SimulationConfig(200, restart_period=5), market, timeline)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_failing_worker_is_named_with_its_exit_status(monkeypatch):
+    parent, play_groups = os.getpid(), engine._Run._groups
+
+    def groups(self, *args):
+        if os.getpid() != parent:
+            raise ValueError("fault in a worker")
+        play_groups(self, *args)
+
+    run = split_run(monkeypatch, 2, groups)
+    with pytest.raises(RuntimeError, match=r"play worker \d+ exited with status 1 after "
+                                           r"sending 0 of \d+ bytes"):
+        run()
+    assert_no_child_left()
+
+
+def test_parent_error_kills_and_reaps_running_workers(monkeypatch):
+    parent = os.getpid()
+
+    def groups(self, *args):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent fails, unless killed
+        raise ValueError("fault in the parent")
+
+    run = split_run(monkeypatch, 3, groups)
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="fault in the parent"):
+        run()
+    assert time.monotonic() - began < 30
+    assert_no_child_left()
+
+
+def test_split_records_no_deprecation_warning(monkeypatch):
+    """Python >= 3.12 warns when a process with threads forks; ``play``
+    filters exactly that warning around its fork."""
+    run = split_run(monkeypatch, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = run()
+    assert [w for w in caught if issubclass(w.category, DeprecationWarning)] == []
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    assert run().rewards.tobytes() == trace.rewards.tobytes()
+    assert_no_child_left()
+
+
+def test_fork_threshold_splits_large_markets_not_meta_epochs(monkeypatch):
+    """``play`` reads the CPU count only for a call of at least
+    ``_FORK_CELLS`` of work. A spy on it sees no call in a meta run of
+    perfbench's ``meta_export`` shape (N = K = 3, T = 60,000: epochs of 245
+    rounds) or in an H sweep of ``sweep_H``'s shape (8 seeds, N = 4, K = 6,
+    T = 3,000), and one in a run of ``large_market``'s market (N = K = 20),
+    here at T = 3,000."""
+    calls = []
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: calls.append(1) or 1)
+    market, timeline = generate_instance(GeneratorSpec(0, 3, 3, 0.2, 20), 60_000)
+    run_rcb_meta(SimulationConfig(60_000), market, timeline)
+    market, timeline = generate_instance(GeneratorSpec(0, 4, 6, 0.08, 6), 3_000)
+    for period in (1, 10, 100, 1000):
+        run_rcb_seeds(SimulationConfig(3_000, period, noise="uniform"), market, timeline,
+                      range(8))
+    assert calls == []
+    market, timeline = generate_instance(GeneratorSpec(0, 20, 20, 0.02, 10), 3_000)
+    run_rcb(SimulationConfig(3_000), market, timeline)
+    assert calls == [1]
 
 
 def test_batched_run_rejects_empty_seed_list():

@@ -76,16 +76,13 @@ def test_ensemble_covers_tuned_period_within_factor_two():
 
 def test_exp3_rejects_bad_construction():
     rng = np.random.default_rng(0)
-    with pytest.raises(InputError):
-        Exp3State(np.array([]), 0.5, rng)
-    with pytest.raises(InputError):
-        Exp3State(np.array([1.0, -1.0]), 0.5, rng)
-    with pytest.raises(InputError):
-        Exp3State(np.array([1.0, 1.0]), 0.0, rng)
     # Non-finite weights would give NaN probabilities that exp3_select dies on.
-    for bad in (math.inf, math.nan):
-        with pytest.raises(InputError, match="weights"):
-            Exp3State([1.0, bad], 0.1, rng)
+    for weights, gamma, field in (([], 0.5, "weights"), ([1.0, -1.0], 0.5, "weights"),
+                                  ([1.0, math.inf], 0.1, "weights"),
+                                  ([1.0, math.nan], 0.1, "weights"), ([1.0, 1.0], 0.0, "gamma")):
+        with pytest.raises(InputError, match=field) as err:
+            Exp3State(weights, gamma, rng)
+        assert err.value.field == field
 
 
 def test_fresh_probabilities_uniform():
@@ -110,12 +107,10 @@ def test_dominant_weight_dominates_draws():
 
 def test_update_rejects_out_of_range_reward():
     state = Exp3State.fresh(2, 0.5, np.random.default_rng(0))
-    with pytest.raises(InputError):
-        exp3_update(state, 0, 1.5)
-    with pytest.raises(InputError):
-        exp3_update(state, 0, -0.1)
-    with pytest.raises(InputError):
-        exp3_update(state, 5, 0.5)
+    for chosen, reward, field in ((0, 1.5, "reward"), (0, -0.1, "reward"), (5, 0.5, "chosen")):
+        with pytest.raises(InputError) as err:
+            exp3_update(state, chosen, reward)
+        assert err.value.field == field
 
 
 def test_zero_reward_leaves_probabilities_unchanged():
