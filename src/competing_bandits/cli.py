@@ -225,7 +225,7 @@ def _cmd_sweep(args) -> int:
     config = parse_config(args.config)
     grid_key, eq, raw = args.grid.partition("=")
     if not eq:
-        raise InputError("--grid must look like KEY=v1,v2,... with integer values")
+        raise InputError("must look like KEY=v1,v2,... with integer values", "--grid")
     grid_key = grid_key.strip()
     grid_values = _int_list(raw, f"--grid {grid_key}")
     if len(set(grid_values)) < len(grid_values):

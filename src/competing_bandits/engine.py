@@ -4,9 +4,9 @@ accounting against the per-segment stable benchmarks.
 
 Seeds of one config share one loop (``run_rcb_seeds``), in which the
 restart blocks of a ``play`` call advance in lockstep groups, one step per
-in-block round. Independent runs share no state. Within a run, a ``play``
-call with enough work shares its groups out to forked workers, one per
-further usable CPU.
+in-block round. Independent runs share no state. A ``play`` call with
+enough work, and a big trace export, share their groups or chunks out to
+forked workers, one per further usable CPU.
 """
 
 from __future__ import annotations
@@ -14,11 +14,14 @@ from __future__ import annotations
 import math
 import os
 import signal
+import tempfile
 import traceback
 import warnings
 from bisect import bisect_left
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,12 +62,60 @@ _GROUP_CELLS = 4096
 # a ``play`` call shares its groups out to forked workers. A two-way split
 # broke even at about 1.8e5 and saved 25-41% from 5e5 up (README, ``engine``).
 _FORK_CELLS = 1 << 20
+# Trace rows (rounds * players) from which the export forks (README, ``engine``).
+_FORK_ROWS = 1 << 14
 
 
 def _usable_cpus() -> int:
     """CPUs this process may run on; 1 where it cannot fork."""
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     return len(os.sched_getaffinity(0)) if forks else 1
+
+
+def _share_out(label: str, items: Sequence, parts: int, work, buffers) -> None:
+    """Call ``work(i, share)`` on share i of ``parts`` contiguous shares of ``items``: here
+    for i = 0, else in a forked worker, which sends the arrays ``buffers(i, share)`` down a
+    pipe into this process's own and leaves with ``os._exit``. A failed or short worker
+    raises RuntimeError; any error kills and reaps the workers not yet reaped."""
+    shares = [items[i * len(items) // parts:(i + 1) * len(items) // parts] for i in range(parts)]
+    workers = []  # (pid, pipe, buffers) of each worker not yet reaped
+    try:
+        for i, share in enumerate(shares[1:], 1):
+            read, write = os.pipe()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on fork in a process with threads, such as
+                # numpy's BLAS pool. The worker is safe: it calls no BLAS routine,
+                # takes no lock held elsewhere, and leaves with os._exit.
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:  # the worker sends its buffers and never returns
+                try:
+                    work(i, share)
+                    with open(write, "wb") as pipe:
+                        pipe.writelines(buffers(i, share))
+                except BaseException:
+                    traceback.print_exc()
+                    os._exit(1)
+                os._exit(0)
+            os.close(write)
+            workers.append((pid, open(read, "rb"), buffers(i, share)))
+        work(0, shares[0])
+        while workers:
+            pid, pipe, arrays = workers[0]
+            with pipe:
+                size = sum(pipe.readinto(b) for b in arrays)
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            expected = sum(b.nbytes for b in arrays)
+            if status or size != expected:
+                raise RuntimeError(f"{label} worker {pid} exited with status {status} after "
+                                   f"sending {size} of {expected} bytes")
+    finally:
+        for pid, pipe, _ in workers:  # after an error: stop and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 @dataclass(frozen=True)
@@ -277,47 +328,9 @@ class _Run:
         groups = range(start - 1, end, self.group * period)  # each group's first row
         work = (end - start + 1 - len(range(start, end + 1, period))) * width * k
         parts = min(len(groups), _usable_cpus() if work >= _FORK_CELLS else 1)
-        shares = [groups[i * len(groups) // parts:(i + 1) * len(groups) // parts]
-                  for i in range(parts)]
-        workers = []  # (pid, pipe, rows) of each worker not yet reaped
-        try:
-            for share in shares[1:]:
-                span = slice(share.start, min(share.stop, end))  # the share's rows
-                read, write = os.pipe()
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns on fork in a process with threads, such as
-                    # numpy's BLAS pool. The worker is safe: it calls no BLAS routine,
-                    # takes no lock, and leaves with os._exit, flushing nothing.
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:  # the worker sends its rows and never returns
-                    try:
-                        self._groups(share, end, period)
-                        with open(write, "wb") as pipe:
-                            pipe.writelines((matchings[span], rewards[span]))
-                    except BaseException:
-                        traceback.print_exc()
-                        os._exit(1)
-                    os._exit(0)
-                os.close(write)
-                workers.append((pid, open(read, "rb"), span))
-            self._groups(shares[0], end, period)
-            while workers:
-                pid, pipe, span = workers[0]
-                with pipe:
-                    size = pipe.readinto(matchings[span]) + pipe.readinto(rewards[span])
-                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                del workers[0]
-                expected = matchings[span].nbytes + rewards[span].nbytes
-                if status or size != expected:
-                    raise RuntimeError(f"play worker {pid} exited with status {status} after "
-                                       f"sending {size} of {expected} bytes")
-        finally:
-            for pid, pipe, _ in workers:  # after an error: stop and reap the rest
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        _share_out("play", groups, parts, lambda _, share: self._groups(share, end, period),
+                   lambda _, share: [a[share.start:min(share.stop, end)]  # the share's rows
+                                     for a in (matchings, rewards)])
 
     @np.errstate(divide="ignore")  # the UCB bonus of an unexplored arm is 1 / 0
     def _groups(self, groups: range, end: int, period: int) -> None:
@@ -431,7 +444,9 @@ def write_trace_csv(trace: SimulationTrace, path,
     string table per segment. The schedule gives each round's block and
     restart flag, and in meta mode its epoch and period. Up to
     ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time,
-    from a list of six parts per row filled one column at a time."""
+    from a list of six parts per row filled one column at a time. From
+    ``_FORK_ROWS`` rows up, a forked worker per further usable CPU writes a later share
+    of the chunks to an unlinked temporary file, appended after this process's share."""
     metadata = list(trace_metadata(trace)) + list(extra_metadata)
     for key, value in metadata:
         if any(c in f"{key}{value}" for c in "\n\r"):
@@ -448,40 +463,61 @@ def write_trace_csv(trace: SimulationTrace, path,
     tables = [f",{v!r},{b},{gap!r}," for v, b, gap in per_cell]
     gaps = np.array([gap for _, _, gap in per_cell])
     segment_ends = [end for _, end, _ in trace.segments]
-    with open(path, "w", newline="") as fh:
+
+    def chunks():  # (epoch, first round, period, first block, lo, hi) per chunk of rows lo:hi
+        first_block = 1
+        for epoch, (start, end, period) in enumerate(trace.schedule):
+            for lo in range(start - 1, end, _EXPORT_CHUNK_ROUNDS):
+                yield epoch, start, period, first_block, lo, min(lo + _EXPORT_CHUNK_ROUNDS, end)
+            first_block += len(range(start, end + 1, period))
+
+    def write_share(i, share):
+        """Write the chunks ``share`` to ``outs[i]``; earlier ones only carry the regret."""
+        for c, (epoch, start, period, block, lo, hi) in enumerate(islice(chunks(), share.stop)):
+            rounds = np.arange(lo + 1, hi + 1)
+            cells = (trace.matchings[lo:hi] + offsets).ravel()
+            segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
+            # One cumsum's adds, carried across chunks; none at round 1 (0.0 + -0.0 is 0.0).
+            increments = gaps[segment_cells].reshape(-1, n)
+            if lo:
+                increments[0] += cumulative[-1]
+            cumulative = np.cumsum(increments, axis=0)
+            if c < share.start:
+                continue
+            tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
+            # Cumulative regret takes few distinct values: repr each distinct
+            # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
+            bits, inverse = np.unique(cumulative.ravel().view(np.int64), return_inverse=True)
+            distinct = [repr(v) for v in bits.view(np.float64).tolist()]
+            # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
+            # each column fills its parts with one strided slice assignment.
+            parts = [tail] * (6 * len(cells))
+            j = rounds - start  # round t is round j of its play call, from 0
+            blocks, flags = block + j // period, (j % period == 0).astype(np.int64)
+            heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(),
+                             flags.tolist()))
+            for p in range(n):
+                parts[6 * p::6 * n] = heads
+            parts[1::6] = map(player_arm.__getitem__, cells.tolist())
+            parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
+            parts[3::6] = map(tables.__getitem__, segment_cells.tolist())
+            parts[4::6] = map(distinct.__getitem__, inverse.tolist())
+            outs[i].write("".join(parts))
+        outs[i].flush()
+        finals[i] = cumulative[-1]
+
+    count = sum(1 for _ in chunks())
+    with open(path, "w", newline="") as fh, ExitStack() as temps:
         for key, value in metadata:
             fh.write(f"# {key} = {value}\n")
         fh.write(",".join(META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS) + "\r\n")
-        first_block = 1
-        for epoch, (start, end, period) in enumerate(trace.schedule):
-            tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
-            for lo in range(start - 1, end, _EXPORT_CHUNK_ROUNDS):
-                hi = min(lo + _EXPORT_CHUNK_ROUNDS, end)
-                rounds = np.arange(lo + 1, hi + 1)
-                cells = (trace.matchings[lo:hi] + offsets).ravel()
-                segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
-                # One cumsum's adds, carried across chunks; none at round 1 (0.0 + -0.0 is 0.0).
-                increments = gaps[segment_cells].reshape(-1, n)
-                if lo:
-                    increments[0] += cumulative[-1]
-                cumulative = np.cumsum(increments, axis=0)
-                # Cumulative regret takes few distinct values: repr each distinct
-                # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
-                bits, inverse = np.unique(cumulative.ravel().view(np.int64), return_inverse=True)
-                distinct = [repr(v) for v in bits.view(np.float64).tolist()]
-                # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
-                # each column fills its parts with one strided slice assignment.
-                parts = [tail] * (6 * len(cells))
-                i = rounds - start  # round t is round i of this play call, from 0
-                blocks, flags = first_block + i // period, (i % period == 0).astype(np.int64)
-                heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(),
-                                 flags.tolist()))
-                for p in range(n):
-                    parts[6 * p::6 * n] = heads
-                parts[1::6] = map(player_arm.__getitem__, cells.tolist())
-                parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
-                parts[3::6] = map(tables.__getitem__, segment_cells.tolist())
-                parts[4::6] = map(distinct.__getitem__, inverse.tolist())
-                fh.write("".join(parts))
-            first_block += len(range(start, end + 1, period))
-    return cumulative[-1]
+        shares = min(count, _usable_cpus() if trace.horizon * n >= _FORK_ROWS else 1)
+        outs = [fh] + [temps.enter_context(tempfile.TemporaryFile(
+            "w+", newline="", dir=os.path.dirname(path) or ".")) for _ in range(1, shares)]
+        finals = np.zeros((shares, n))
+        _share_out("export", range(count), shares, write_share, lambda i, _: [finals[i]])
+        for tmp in outs[1:]:
+            size, sent = os.fstat(tmp.fileno()).st_size, 0
+            while sent < size:  # sendfile may copy less than asked
+                sent += os.sendfile(fh.fileno(), tmp.fileno(), sent, size - sent)
+    return finals[-1]

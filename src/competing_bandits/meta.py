@@ -164,7 +164,7 @@ def run_rcb_meta(
 def write_epoch_summary_csv(trace: SimulationTrace, path) -> None:
     """One row per epoch: choice, normalized reward, probability snapshot."""
     if trace.epoch_summaries is None:
-        raise InputError("trace has no epoch summaries (not a meta run)")
+        raise InputError("trace has none (not a meta run)", "epoch_summaries")
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed = {trace.seed}\n")
         fh.write(f"# horizon = {trace.horizon}\n")

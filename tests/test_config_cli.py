@@ -975,13 +975,14 @@ def header(path):
 
 def test_cli_run_with_play_workers_prints_the_echo_once(tmp_path):
     """``rcb run`` with stdout piped, so block-buffered, and every ``play``
-    call split over forked workers (threshold 0, one block per group):
-    the workers leave without flushing the inherited buffer, so the
-    resolved-config echo is printed once, and the trace equals the
-    unsplit run's."""
+    call and the trace export split over forked workers (thresholds 0, one
+    block per group, 16-round export chunks): the workers leave without
+    flushing the inherited buffer, so the resolved-config echo is printed
+    once, and the trace equals the unsplit run's."""
     path = write_config(tmp_path, SMALL_GENERATOR_CONFIG)
     script = ("import sys; from competing_bandits import cli, engine; "
               "engine._FORK_CELLS, engine._GROUP_CELLS = 0, 4; engine._usable_cpus = lambda: 2; "
+              "engine._FORK_ROWS, engine._EXPORT_CHUNK_ROUNDS = 0, 16; "
               "sys.exit(cli.main(sys.argv[1:]))")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(pathlib.Path(cli.__file__).parents[1])
@@ -1061,6 +1062,7 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["oracle-check", "--sizes", "2,7"], "--sizes"),
         (["oracle-check", "--seed", "-1"], "--seed"),
         (["sweep", "--grid", "X=1,2"], "--grid: key must be T, L or H, got 'X'"),
+        (["sweep", "--grid", "H"], "--grid: must look like KEY=v1,v2,..."),
     ],
 )
 def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):

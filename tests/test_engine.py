@@ -481,6 +481,17 @@ def test_failing_worker_is_named_with_its_exit_status(monkeypatch):
     assert_no_child_left()
 
 
+def test_worker_that_sent_every_byte_is_judged_by_its_exit_status(monkeypatch):
+    """A worker that sends all its rows but then exits non-zero is an error too."""
+    parent, leave = os.getpid(), os._exit
+    monkeypatch.setattr(os, "_exit", lambda code: leave(code if os.getpid() == parent else 3))
+    run = split_run(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"play worker \d+ exited with status 3 after "
+                                           r"sending (\d+) of \1 bytes"):
+        run()
+    assert_no_child_left()
+
+
 def test_parent_error_kills_and_reaps_running_workers(monkeypatch):
     parent = os.getpid()
 
@@ -510,25 +521,30 @@ def test_split_records_no_deprecation_warning(monkeypatch):
     assert_no_child_left()
 
 
-def test_fork_threshold_splits_large_markets_not_meta_epochs(monkeypatch):
+def test_fork_threshold_splits_large_markets_not_meta_epochs(monkeypatch, tmp_path):
     """``play`` reads the CPU count only for a call of at least
-    ``_FORK_CELLS`` of work. A spy on it sees no call in a meta run of
-    perfbench's ``meta_export`` shape (N = K = 3, T = 60,000: epochs of 245
-    rounds) or in an H sweep of ``sweep_H``'s shape (8 seeds, N = 4, K = 6,
-    T = 3,000), and one in a run of ``large_market``'s market (N = K = 20),
-    here at T = 3,000."""
+    ``_FORK_CELLS`` of work, and the export only from ``_FORK_ROWS`` rows.
+    A spy on it sees no call in a meta run of perfbench's ``meta_export``
+    shape (N = K = 3, T = 60,000: epochs of 245 rounds), in an H sweep of
+    ``sweep_H``'s shape (8 seeds, N = 4, K = 6, T = 3,000) or in the export
+    of one of its traces (12,000 rows), and one in a run of
+    ``large_market``'s market (N = K = 20), here at T = 3,000, and one in
+    the export of the meta trace (180,000 rows)."""
     calls = []
     monkeypatch.setattr(engine, "_usable_cpus", lambda: calls.append(1) or 1)
     market, timeline = generate_instance(GeneratorSpec(0, 3, 3, 0.2, 20), 60_000)
-    run_rcb_meta(SimulationConfig(60_000), market, timeline)
+    meta_trace = run_rcb_meta(SimulationConfig(60_000), market, timeline)
     market, timeline = generate_instance(GeneratorSpec(0, 4, 6, 0.08, 6), 3_000)
     for period in (1, 10, 100, 1000):
-        run_rcb_seeds(SimulationConfig(3_000, period, noise="uniform"), market, timeline,
-                      range(8))
+        traces = run_rcb_seeds(SimulationConfig(3_000, period, noise="uniform"), market,
+                               timeline, range(8))
+    write_trace_csv(traces[0], tmp_path / "sweep.csv")
     assert calls == []
     market, timeline = generate_instance(GeneratorSpec(0, 20, 20, 0.02, 10), 3_000)
     run_rcb(SimulationConfig(3_000), market, timeline)
     assert calls == [1]
+    write_trace_csv(meta_trace, tmp_path / "meta.csv")
+    assert calls == [1, 1]
 
 
 def test_batched_run_rejects_empty_seed_list():
@@ -851,3 +867,115 @@ def test_trace_csv_keeps_negative_zero(tmp_path):
     assert second["regret_increment"] == "0.0"
     write_trace_csv_rows(trace, tmp_path / "rows.csv")
     assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def negative_zero_regret(trace):
+    """``trace`` with every mean 0.0 except each benchmark arm's, which is
+    -0.0, and every round matched one arm past its benchmark, so that every
+    increment and every cumulative regret is -0.0. A validated timeline
+    cannot give this (each player's means are distinct), so the segments and
+    matchings are replaced on the trace itself."""
+    k = len(trace.segments[0][2][0])
+    bench = trace.benchmark_arms()
+    segments = [(start, end, tuple(tuple(-0.0 if a == b else 0.0 for a in range(k)) for b in arms))
+                for (start, end, _), arms in zip(trace.segments, bench)]
+    matchings = np.concatenate([np.tile((np.array(arms) + 1) % k, (end - start + 1, 1))
+                                for (start, end, _), arms in zip(trace.segments, bench)])
+    return replace(trace, segments=segments, matchings=matchings)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_forked_export_equals_the_unsplit_export(tmp_path_factory, data):
+    """From ``_FORK_ROWS`` rows up, the export cuts its chunks into
+    contiguous shares, one per usable CPU; forked workers write the later
+    ones. With the threshold at 0 and a drawn 2 or 3 CPUs, the file and the
+    returned finals equal the unsplit export's byte for byte, and the file
+    equals the row-wise writer's: for rcb, batched (column-slice) and meta
+    traces, every noise family, N = 1 to 4 and horizons around multiples of
+    the chunk size. Shares start mid-call in rcb traces and at call ends in
+    meta traces, whose epochs are shorter than a chunk here; the -0.0 mode
+    carries a -0.0 regret across shares into a -0.0 final."""
+    mode = data.draw(st.sampled_from(["rcb", "rcb batch", "meta", "-0.0"]), label="mode")
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(max(n, 1 + (mode == "-0.0")), 6), label="K")
+    horizon = data.draw(st.integers(2, CHUNK - 1)
+                        | st.sampled_from([m * CHUNK + d for m in (1, 2, 3) for d in (-1, 0, 1)]),
+                        label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    config = SimulationConfig(horizon, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"))
+    if mode == "meta":
+        trace = run_rcb_meta(config, market, timeline)
+    else:
+        seeds = [config.seed] if mode != "rcb batch" else [config.seed + 1, config.seed]
+        trace = run_rcb_seeds(config, market, timeline, seeds)[-1]
+    if mode == "-0.0":
+        trace = negative_zero_regret(trace)
+    out = tmp_path_factory.mktemp("export")
+
+    def export(cpus):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_FORK_ROWS", 0)
+            patch.setattr(engine, "_usable_cpus", lambda: cpus)
+            final = write_trace_csv(trace, out / f"cpus{cpus}.csv")
+        return (out / f"cpus{cpus}.csv").read_bytes(), final.tobytes()
+
+    split, whole = export(data.draw(st.sampled_from([2, 3]), label="CPUs")), export(1)
+    assert split == whole
+    write_trace_csv_rows(trace, out / "rows.csv")
+    assert split[0] == (out / "rows.csv").read_bytes()
+    if mode == "-0.0":
+        assert whole[1] == np.full(n, -0.0).tobytes()
+    assert len(os.listdir(out)) == 3  # no temporary file is left
+
+
+def split_export(monkeypatch, tmp_path, cpus, islice):
+    """Force the export of a 1,536-round trace (6 chunks) to split over
+    ``cpus`` CPUs, with ``islice`` in place of the one the export reads its
+    chunks through; return the call that writes it to ``tmp_path``."""
+    monkeypatch.setattr(engine, "_FORK_ROWS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(engine, "islice", islice)
+    market, timeline = conflict_setup(6 * CHUNK)
+    trace = run_rcb(SimulationConfig(6 * CHUNK, restart_period=5), market, timeline)
+    return lambda: write_trace_csv(trace, tmp_path / "trace.csv")
+
+
+def test_failing_export_worker_is_named_with_its_exit_status(monkeypatch, tmp_path):
+    parent, chunks = os.getpid(), engine.islice
+
+    def islice(*args):
+        if os.getpid() != parent:
+            raise ValueError("fault in a worker")
+        return chunks(*args)
+
+    export = split_export(monkeypatch, tmp_path, 2, islice)
+    with pytest.raises(RuntimeError, match=r"export worker \d+ exited with status 1 after "
+                                           r"sending 0 of \d+ bytes"):
+        export()
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["trace.csv"]
+
+
+def test_export_error_mid_share_kills_and_reaps_running_workers(monkeypatch, tmp_path):
+    parent, chunks = os.getpid(), engine.islice
+
+    def islice(*args):
+        if os.getpid() != parent:
+            time.sleep(60)  # still running when the parent fails, unless killed
+        for index, chunk in enumerate(chunks(*args)):
+            if index == 1:  # after the parent's first chunk is written
+                raise ValueError("fault in the parent")
+            yield chunk
+
+    export = split_export(monkeypatch, tmp_path, 3, islice)
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="fault in the parent"):
+        export()
+    assert time.monotonic() - began < 30
+    assert_no_child_left()
+    assert os.listdir(tmp_path) == ["trace.csv"]

@@ -279,5 +279,6 @@ def test_epoch_summary_csv(tmp_path):
 def test_epoch_summary_csv_rejects_plain_trace(tmp_path):
     market, timeline = single_player_setup(50)
     trace = run_rcb(SimulationConfig(50), market, timeline)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="not a meta run") as exc:
         write_epoch_summary_csv(trace, tmp_path / "epochs.csv")
+    assert exc.value.field == "epoch_summaries"
