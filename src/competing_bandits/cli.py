@@ -61,7 +61,7 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
     if grid_key not in ("T", "L", "H"):
         raise InputError(f"key must be T, L or H, got {grid_key!r}", "--grid")
     if config.mode == "meta":
-        raise ConfigError("[experiment] mode: rcb sweep runs mode rcb only, got 'meta'")
+        raise ConfigError("rcb sweep runs mode rcb only, got 'meta'", "[experiment] mode")
     spec = config.instance
     if grid_key != "H" and not isinstance(spec, GeneratorSpec):
         raise ConfigError("sweeping T or L requires a [generator] section", f"--grid {grid_key}")

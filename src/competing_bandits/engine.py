@@ -177,11 +177,9 @@ class SimulationTrace:
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
         baseline = self.baseline if baseline is None else baseline
-        if baseline == "optimal":
-            return self.optimal_arms
-        if baseline == "pessimal":
-            return self.pessimal_arms
-        raise InputError(f"must be one of {BASELINES}, got {baseline!r}", "baseline")
+        if baseline not in BASELINES:
+            raise InputError(f"must be one of {BASELINES}, got {baseline!r}", "baseline")
+        return self.optimal_arms if baseline == "optimal" else self.pessimal_arms
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,7 @@ class RegretReport:
     increments: np.ndarray  # (T, N)
     block_sums: np.ndarray  # (blocks, N)
     block_bounds: np.ndarray  # (blocks, 2) int64, 1-based inclusive round ranges
+    last_row: np.ndarray  # (N,) running sum of ``increments`` at the horizon
 
     @cached_property
     def cumulative(self) -> np.ndarray:
@@ -198,8 +197,8 @@ class RegretReport:
         return np.cumsum(self.increments, axis=0)
 
     def final(self) -> np.ndarray:
-        """Cumulative regret per player at the horizon."""
-        return self.cumulative[-1]
+        """Cumulative regret per player at the horizon, ``cumulative[-1]`` bit for bit."""
+        return self.last_row
 
 
 def compute_restart_period(horizon: int, change_count: int) -> int:
@@ -395,27 +394,52 @@ class _Run:
                         flat_counts[cells], flat_sums[cells], flat_neg[cells] = c, total, total / -c
 
 
+def _segment_cells(trace: SimulationTrace, baseline: Optional[str] = None) -> list:
+    """Per segment, each cell p * K + a's (mean, benchmark arm, benchmark mean minus mean)."""
+    return [[(v, b, row[b] - v) for row, b in zip(means, arms) for v in row]
+            for (_, _, means), arms in zip(trace.segments, trace.benchmark_arms(baseline))]
+
+
+def _chunk_bounds(trace: SimulationTrace):
+    """(call, lo, hi, segment) of each chunk of rows lo:hi, in order: at most
+    ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call within one segment. ``call``
+    is the play call's (index, first round, period, first block number)."""
+    ends, segment, block = [end for _, end, _ in trace.segments], 0, 1
+    for index, (start, end, period) in enumerate(trace.schedule):
+        lo = start - 1
+        while lo < end:
+            segment += ends[segment] <= lo  # row lo, round lo + 1, is past the segment
+            hi = min(lo + _EXPORT_CHUNK_ROUNDS, end, ends[segment])
+            yield (index, start, period, block), lo, hi, segment
+            lo = hi
+        block += len(range(start, end + 1, period))
+
+
+def _regret_chunks(trace: SimulationTrace, baseline: Optional[str] = None):
+    """Each ``_chunk_bounds`` chunk's (call, lo, hi, segment), rows lo:hi's (hi - lo, N) regret
+    increments and their running sum, carried across chunks: one running sum's adds."""
+    offsets = np.arange(trace.n_players) * len(trace.segments[0][2][0])
+    gaps = np.array(_segment_cells(trace, baseline))[:, :, 2]  # (segments, N * K)
+    carry = np.empty((0, trace.n_players))  # none at round 1: 0.0 + -0.0 is 0.0
+    for call, lo, hi, segment in _chunk_bounds(trace):
+        increments = gaps[segment].take(trace.matchings[lo:hi] + offsets)
+        cumulative = np.add.accumulate(np.concatenate((carry, increments)))[len(carry):]
+        carry = cumulative[-1:]
+        yield call, lo, hi, segment, increments, cumulative
+
+
 def regret_report(trace: SimulationTrace, baseline: Optional[str] = None) -> RegretReport:
     """Per-round and per-block regret against the chosen benchmark,
     computed from the true (not sampled) means of the matched arms."""
-    offsets = np.arange(trace.n_players) * len(trace.segments[0][2][0])
     increments = np.empty(trace.matchings.shape)
-    for (start, end, means), arms in zip(trace.segments, trace.benchmark_arms(baseline)):
-        # Within a segment the increment depends only on the matched cell
-        # p * K + a: one table of benchmark minus mean per segment.
-        gaps = [row[b] - v for row, b in zip(means, arms) for v in row]
-        # The cells are in range; "clip" lets take write into out unbuffered.
-        np.take(gaps, trace.matchings[start - 1:end] + offsets, out=increments[start - 1:end],
-                mode="clip")
-
+    for _, lo, hi, _, chunk, cumulative in _regret_chunks(trace, baseline):
+        increments[lo:hi] = chunk
     # Each block's first row, 0-based.
     starts = np.concatenate([np.arange(start - 1, end, period)
                              for start, end, period in trace.schedule])
-    return RegretReport(
-        increments=increments,
-        block_sums=np.add.reduceat(increments, starts, axis=0),
-        block_bounds=np.column_stack((starts + 1, np.append(starts[1:], trace.horizon))),
-    )
+    return RegretReport(increments, np.add.reduceat(increments, starts, axis=0),
+                        np.column_stack((starts + 1, np.append(starts[1:], trace.horizon))),
+                        last_row=cumulative[-1])
 
 
 def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
@@ -439,14 +463,11 @@ def write_trace_csv(trace: SimulationTrace, path,
     ``regret_report(trace).final()``.
 
     Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``).
-    Within a segment a row's true mean, benchmark arm and regret increment
-    depend only on its (player, matched arm) cell, so they come from one
-    string table per segment. The schedule gives each round's block and
-    restart flag, and in meta mode its epoch and period. Up to
-    ``_EXPORT_CHUNK_ROUNDS`` rounds of one play call are joined at a time,
-    from a list of six parts per row filled one column at a time. From
-    ``_FORK_ROWS`` rows up, a forked worker per further usable CPU writes a later share
-    of the chunks to an unlinked temporary file, appended after this process's share."""
+    Each ``_regret_chunks`` chunk is joined at once from six parts per row,
+    filled column by column; a row's true mean, benchmark arm and increment
+    come from its segment's string table. From ``_FORK_ROWS`` rows up, a
+    forked worker per further usable CPU writes a later share of the chunks
+    to an unlinked temporary file, appended after this process's share."""
     metadata = list(trace_metadata(trace)) + list(extra_metadata)
     for key, value in metadata:
         if any(c in f"{key}{value}" for c in "\n\r"):
@@ -455,35 +476,12 @@ def write_trace_csv(trace: SimulationTrace, path,
     offsets = np.arange(n) * k
     is_meta = trace.epoch_summaries is not None
     player_arm = [f"{p},{a}," for p in range(n) for a in range(k)]  # cell p * K + a
-    # (true mean, benchmark arm, regret increment) of cell p * K + a in
-    # segment s at s * N * K + p * K + a; the increment is regret_report's
-    # subtraction.
-    per_cell = [(v, b, row[b] - v) for (_, _, means), arms in zip(
-                trace.segments, trace.benchmark_arms()) for row, b in zip(means, arms) for v in row]
-    tables = [f",{v!r},{b},{gap!r}," for v, b, gap in per_cell]
-    gaps = np.array([gap for _, _, gap in per_cell])
-    segment_ends = [end for _, end, _ in trace.segments]
-
-    def chunks():  # (epoch, first round, period, first block, lo, hi) per chunk of rows lo:hi
-        first_block = 1
-        for epoch, (start, end, period) in enumerate(trace.schedule):
-            for lo in range(start - 1, end, _EXPORT_CHUNK_ROUNDS):
-                yield epoch, start, period, first_block, lo, min(lo + _EXPORT_CHUNK_ROUNDS, end)
-            first_block += len(range(start, end + 1, period))
+    tables = [[f",{v!r},{b},{gap!r}," for v, b, gap in cells] for cells in _segment_cells(trace)]
 
     def write_share(i, share):
         """Write the chunks ``share`` to ``outs[i]``; earlier ones only carry the regret."""
-        for c, (epoch, start, period, block, lo, hi) in enumerate(islice(chunks(), share.stop)):
-            rounds = np.arange(lo + 1, hi + 1)
-            cells = (trace.matchings[lo:hi] + offsets).ravel()
-            segment_cells = cells + np.searchsorted(segment_ends, rounds).repeat(n) * (n * k)
-            # One cumsum's adds, carried across chunks; none at round 1 (0.0 + -0.0 is 0.0).
-            increments = gaps[segment_cells].reshape(-1, n)
-            if lo:
-                increments[0] += cumulative[-1]
-            cumulative = np.cumsum(increments, axis=0)
-            if c < share.start:
-                continue
+        chunks = islice(_regret_chunks(trace), share.start, share.stop)  # runs the earlier ones
+        for (epoch, start, period, block), lo, hi, segment, _, cumulative in chunks:
             tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
             # Cumulative regret takes few distinct values: repr each distinct
             # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
@@ -491,22 +489,23 @@ def write_trace_csv(trace: SimulationTrace, path,
             distinct = [repr(v) for v in bits.view(np.float64).tolist()]
             # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
             # each column fills its parts with one strided slice assignment.
-            parts = [tail] * (6 * len(cells))
+            parts = [tail] * (6 * (hi - lo) * n)
+            rounds = np.arange(lo + 1, hi + 1)
             j = rounds - start  # round t is round j of its play call, from 0
             blocks, flags = block + j // period, (j % period == 0).astype(np.int64)
-            heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(),
-                             flags.tolist()))
+            heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(), flags.tolist()))
             for p in range(n):
                 parts[6 * p::6 * n] = heads
-            parts[1::6] = map(player_arm.__getitem__, cells.tolist())
+            cells = (trace.matchings[lo:hi] + offsets).ravel().tolist()
+            parts[1::6] = map(player_arm.__getitem__, cells)
             parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
-            parts[3::6] = map(tables.__getitem__, segment_cells.tolist())
+            parts[3::6] = map(tables[segment].__getitem__, cells)
             parts[4::6] = map(distinct.__getitem__, inverse.tolist())
             outs[i].write("".join(parts))
         outs[i].flush()
         finals[i] = cumulative[-1]
 
-    count = sum(1 for _ in chunks())
+    count = sum(1 for _ in _chunk_bounds(trace))
     with open(path, "w", newline="") as fh, ExitStack() as temps:
         for key, value in metadata:
             fh.write(f"# {key} = {value}\n")

@@ -164,9 +164,10 @@ def sample_reward(
 ) -> float:
     """Draw one stochastic reward around the true mean at round ``t``
     (noise families as in ``draw_noise``)."""
-    if not (0 <= _check_integer("player", player) < timeline.n_players
-            and 0 <= _check_integer("arm", arm) < timeline.n_arms):
-        raise InputError("player or arm index out of range")
+    for name, index, size in (("player", player, timeline.n_players),
+                              ("arm", arm, timeline.n_arms)):
+        if not 0 <= _check_integer(name, index) < size:
+            raise InputError(f"must be an index below {size}, got {index}", name)
     return means_at(timeline, t)[player][arm] + draw_noise(rng, noise, 1).item()
 
 

@@ -44,7 +44,7 @@ class UcbState:
 
     def __init__(self, owner: int, n_arms: int):
         if n_arms < 1:
-            raise InputError("learner needs at least one arm")
+            raise InputError(f"must be at least 1, got {n_arms}", "n_arms")
         self.owner = owner
         self.n_arms = n_arms
         self.pull_counts = [0] * n_arms
@@ -65,7 +65,7 @@ class UcbState:
     def observe(self, arm: int, reward: float) -> None:
         """Record one pulled-arm reward."""
         if not (0 <= arm < self.n_arms):
-            raise InputError(f"arm index {arm} out of range")
+            raise InputError(f"must be an index below {self.n_arms}, got {arm}", "arm")
         self.pull_counts[arm] += 1
         self.reward_sums[arm] += reward
 

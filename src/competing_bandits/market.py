@@ -75,7 +75,8 @@ class RankOrdering:
     def __post_init__(self):
         ranks = tuple(_check_integer("ranks", r) for r in self.ranks)
         if sorted(ranks) != list(range(len(ranks))):
-            raise InputError(f"player {self.owner}: ranks must be a permutation of arm indices")
+            raise InputError(f"must be a permutation of arm indices, got {ranks} for player "
+                             f"{self.owner}", "ranks")
         object.__setattr__(self, "ranks", ranks)
 
     def position_of(self, arm: int) -> int:
@@ -92,7 +93,7 @@ class Matching:
     def __post_init__(self):
         assignment = tuple(_check_integer("assignment", a) for a in self.assignment)
         if len(set(assignment)) != len(assignment):
-            raise InputError("matching must be injective")
+            raise InputError(f"must be injective, got {assignment}", "assignment")
         object.__setattr__(self, "assignment", assignment)
 
 
@@ -112,13 +113,12 @@ class BlockingTriplet:
 
 def _check_orderings(player_orderings: Sequence[RankOrdering], market: MarketInstance) -> None:
     if len(player_orderings) != market.n_players:
-        raise InputError(
-            f"expected {market.n_players} rank orderings, got {len(player_orderings)}"
-        )
+        raise InputError(f"expected {market.n_players} rank orderings, got {len(player_orderings)}",
+                         "player_orderings")
     for i, ordering in enumerate(player_orderings):
         if len(ordering.ranks) != market.n_arms:
             raise InputError(f"ordering for player {i} covers {len(ordering.ranks)} arms, "
-                             f"expected {market.n_arms}")
+                             f"expected {market.n_arms}", "player_orderings")
 
 
 def _check_size_guard(market: MarketInstance) -> None:
@@ -155,7 +155,7 @@ def deferred_acceptance(
                             for o in player_orderings] + [[0] * k] * (k - n)
         holders = player_proposing_da(arm_rankings, player_utilities)
         return Matching(tuple(holders.index(p) for p in range(n)))
-    raise InputError(f"unknown proposing side {proposing_side!r}")
+    raise InputError(f"must be 'players' or 'arms', got {proposing_side!r}", "proposing_side")
 
 
 def player_proposing_da(
@@ -203,7 +203,8 @@ def blocking_pairs(
     """
     _check_orderings(player_orderings, market)
     if len(m.assignment) != market.n_players:
-        raise InputError("matching size does not fit the market")
+        raise InputError(f"assigns {len(m.assignment)} players, the market has {market.n_players}",
+                         "m")
     return _blocking_pairs(m, player_orderings, market)
 
 

@@ -20,9 +20,16 @@ from competing_bandits import (
     ConfigError,
     InputError,
     MarketInstance,
+    Matching,
+    MeanRewardTimeline,
+    RankOrdering,
     SimulationConfig,
+    UcbState,
+    blocking_pairs,
+    deferred_acceptance,
     regret_report,
     run_rcb,
+    sample_reward,
     total_changes,
     write_trace_csv,
 )
@@ -869,8 +876,47 @@ def test_cli_sweep_rejects_meta_mode(tmp_path, capsys):
     path = write_config(tmp_path, text)
     out_dir = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--grid", "T=200,400", "--out", str(out_dir)]) == 1
-    assert "[experiment] mode" in capsys.readouterr().err
+    assert ("error: [experiment] mode: rcb sweep runs mode rcb only, got 'meta'"
+            in capsys.readouterr().err)
     assert not out_dir.exists()
+
+
+def sweep_meta_config(tmp_path):
+    text = GENERATOR_CONFIG.replace("noise = none", "noise = none\nmode = meta")
+    run_sweep(parse_config(write_config(tmp_path, text)), "T", [200])
+
+
+MARKET_2X2 = MarketInstance(2, 2, ((2.0, 1.0), (1.0, 2.0)))
+ORDERINGS_2X2 = [RankOrdering(0, (0, 1)), RankOrdering(1, (1, 0))]
+TIMELINE_1X2 = MeanRewardTimeline(5, ((0.1, 0.2),))
+
+
+@pytest.mark.parametrize("call, field", [
+    pytest.param(lambda _: sample_reward(TIMELINE_1X2, 1, 0, 1, np.random.default_rng(0)),
+                 "player", id="sample_reward-player"),
+    pytest.param(lambda _: sample_reward(TIMELINE_1X2, 0, 2, 1, np.random.default_rng(0)),
+                 "arm", id="sample_reward-arm"),
+    pytest.param(lambda _: UcbState(0, 0), "n_arms", id="UcbState-n_arms"),
+    pytest.param(lambda _: UcbState(0, 2).observe(2, 0.5), "arm", id="UcbState.observe-arm"),
+    pytest.param(lambda _: RankOrdering(0, (0, 0, 1)), "ranks", id="RankOrdering-ranks"),
+    pytest.param(lambda _: Matching((1, 1)), "assignment", id="Matching-assignment"),
+    pytest.param(lambda _: deferred_acceptance(ORDERINGS_2X2, MARKET_2X2, "both"),
+                 "proposing_side", id="deferred_acceptance-proposing_side"),
+    pytest.param(lambda _: deferred_acceptance(ORDERINGS_2X2[:1], MARKET_2X2),
+                 "player_orderings", id="deferred_acceptance-ordering_count"),
+    pytest.param(lambda _: deferred_acceptance(
+        [RankOrdering(0, (0, 1, 2)), RankOrdering(1, (1, 0, 2))], MARKET_2X2),
+                 "player_orderings", id="deferred_acceptance-ordering_length"),
+    pytest.param(lambda _: blocking_pairs(Matching((0,)), ORDERINGS_2X2, MARKET_2X2), "m",
+                 id="blocking_pairs-m"),
+    pytest.param(sweep_meta_config, "[experiment] mode", id="run_sweep-meta_mode"),
+])
+def test_library_errors_name_their_field(tmp_path, call, field):
+    """Each of these errors names the input it rejects, and reads ``field: message``."""
+    with pytest.raises(InputError) as err:
+        call(tmp_path)
+    assert err.value.field == field
+    assert str(err.value) == f"{field}: {err.value.message}"
 
 
 def test_sweep_rejects_unknown_grid_key(tmp_path):

@@ -617,20 +617,25 @@ def test_regret_uses_true_means_not_samples():
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_regret_equals_round_by_round_derivation(data):
+def test_regret_equals_round_by_round_derivation(tmp_path_factory, data):
     """On generated instances (N = 1 included, K >= N), every noise family,
-    both baselines, H = 1, auto and T, and rcb and meta runs: each increment
-    is the round's benchmark mean minus the matched arm's mean from
-    ``means_at``, bit for bit, with the benchmark from DA on the round's
-    true orderings; ``final`` is the last row of the sequential running sum,
-    bit for bit (a pairwise sum differs at N = 1); and the block sums and
-    bounds follow the blocks of ``schedule_columns``."""
+    both baselines, H = 1, auto and T, and rcb and meta runs, with the regret
+    chunks cut at a drawn 1 to 7 rounds (so they cross play-call and segment
+    ends): each increment is the round's benchmark mean minus the matched
+    arm's mean from ``means_at``, bit for bit, with the benchmark from DA on
+    the round's true orderings; ``cumulative`` is the sequential running sum
+    of those increments and ``final`` its last row, bit for bit (a pairwise
+    sum differs at N = 1), as is the export's returned final; and the block
+    sums and bounds follow the blocks of ``schedule_columns``. The -0.0 mode
+    replaces the means so that every increment of the trace's baseline is
+    -0.0, which a 0.0 carry into round 1 would turn into a 0.0 final."""
+    negative_zero = data.draw(st.booleans(), label="-0.0")
     n = data.draw(st.integers(1, 3), label="N")
-    k = data.draw(st.integers(n, 4), label="K")
-    horizon = data.draw(st.integers(2, 40), label="T")
+    k = data.draw(st.integers(max(n, 1 + negative_zero), 4), label="K")
+    horizon = data.draw(st.integers(2, 60), label="T")
     spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
                          n_players=n, n_arms=k, delta=0.05,
-                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+                         n_changes=data.draw(st.integers(0, min(4, horizon - 1)), label="L"))
     market, timeline = generate_instance(spec, horizon)
     config = SimulationConfig(horizon, data.draw(st.sampled_from([1, None, horizon]), label="H"),
                               seed=data.draw(st.integers(0, 3), label="seed"),
@@ -641,6 +646,8 @@ def test_regret_equals_round_by_round_derivation(data):
         trace = run_rcb_meta(replace(config, restart_period=None), market, timeline)
     else:
         trace = run_rcb(config, market, timeline)
+    if negative_zero:
+        trace = negative_zero_regret(trace)
     benchmarks = {}  # per distinct mean matrix and baseline: the benchmark arms
     for t in range(1, horizon + 1):
         means = means_at(timeline, t)
@@ -650,18 +657,33 @@ def test_regret_equals_round_by_round_derivation(data):
                                                                   matchings)}
     blocks = np.array(schedule_columns(trace)[0])
     block_rows = [np.flatnonzero(blocks == b) for b in range(1, blocks[-1] + 1)]
-    for baseline in (None, "optimal", "pessimal"):
-        report = regret_report(trace, baseline)
+    chunk = data.draw(st.integers(1, 7), label="chunk rounds")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_EXPORT_CHUNK_ROUNDS", chunk)
+        reports = {b: regret_report(trace, b) for b in (None, "optimal", "pessimal")}
+        final = write_trace_csv(trace, tmp_path_factory.mktemp("export") / "trace.csv")
+    for baseline, report in reports.items():
+        expected = []
         for t, arms in enumerate(trace.matchings.tolist(), start=1):
-            means = means_at(timeline, t)
-            bench = benchmarks[means][baseline or config.baseline]
-            expected = [means[i][bench[i]] - means[i][arm] for i, arm in enumerate(arms)]
-            assert report.increments[t - 1].tolist() == expected, (baseline, t)
-        assert report.final().tobytes() == np.cumsum(report.increments, axis=0)[-1].tobytes()
+            if negative_zero:  # the replaced means of the round's segment
+                (segment,) = [s for s, (lo, hi, _) in enumerate(trace.segments) if lo <= t <= hi]
+                means, bench = trace.segments[segment][2], trace.benchmark_arms(baseline)[segment]
+            else:
+                means = means_at(timeline, t)
+                bench = benchmarks[means][baseline or config.baseline]
+            expected.append([means[i][bench[i]] - means[i][arm] for i, arm in enumerate(arms)])
+        expected = np.array(expected)
+        assert report.increments.tobytes() == expected.tobytes(), baseline
+        running = np.cumsum(expected, axis=0)  # sequential adds along the rounds
+        assert report.cumulative.tobytes() == running.tobytes(), baseline
+        assert report.final().tobytes() == running[-1].tobytes(), baseline
         assert report.block_bounds.tolist() == [[rows[0] + 1, rows[-1] + 1] for rows in block_rows]
         # reduceat adds a block's first row to a pairwise sum of the rest.
         sums = [report.increments[rows].sum(axis=0) for rows in block_rows]
         assert np.allclose(report.block_sums, sums, rtol=0, atol=1e-12)
+    assert final.tobytes() == reports[None].final().tobytes()
+    if negative_zero:
+        assert final.tobytes() == np.full(n, -0.0).tobytes()
 
 
 def test_optimal_regret_dominates_pessimal_regret():
