@@ -19,7 +19,7 @@ import numpy as np
 from .config import ExperimentConfig, GeneratorSpec, echo_config, parse_config, resolve_instance
 from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
-from .errors import CompetingBanditsError, ConfigError, InputError
+from .errors import CompetingBanditsError, ConfigError, InputError, _check_choice, _check_integer
 from .market import (
     ENUMERATION_LIMIT,
     MarketInstance,
@@ -58,8 +58,7 @@ def run_sweep(config: ExperimentConfig, grid_key: str,
 def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence[int]) -> list:
     """Each grid point's (value, config, market, timeline), all validated
     and resolved before any point runs, so a bad one fails early."""
-    if grid_key not in ("T", "L", "H"):
-        raise InputError(f"key must be T, L or H, got {grid_key!r}", "--grid")
+    _check_choice("--grid", grid_key, ("T", "L", "H"))
     if config.mode == "meta":
         raise ConfigError("rcb sweep runs mode rcb only, got 'meta'", "[experiment] mode")
     spec = config.instance
@@ -243,16 +242,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = _int_list(args.sizes, "--sizes")
-    if min(sizes) < 1:
-        raise InputError(f"values must be at least 1, got {args.sizes!r}", "--sizes")
-    if max(sizes) > ENUMERATION_LIMIT:
-        raise InputError(f"values must be at most {ENUMERATION_LIMIT}, got {args.sizes!r}",
-                         "--sizes")
-    if args.instances < 1:
-        raise InputError(f"must be at least 1, got {args.instances}", "--instances")
-    if args.seed < 0:
-        raise InputError(f"must be non-negative, got {args.seed}", "--seed")
+    sizes = [_check_integer("--sizes", size, least=1, most=ENUMERATION_LIMIT)
+             for size in _int_list(args.sizes, "--sizes")]
+    _check_integer("--instances", args.instances, least=1)
+    _check_integer("--seed", args.seed, least=0)
     mismatches = oracle_check(args.instances, sizes, args.seed)
     if mismatches:
         for line in mismatches:

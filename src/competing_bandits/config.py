@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import SimulationConfig
 from .environment import ChangeEvent, MeanRewardTimeline
-from .errors import ConfigError, InputError, _check_integer
+from .errors import ConfigError, InputError, _check_choice, _check_integer
 from .market import MarketInstance
 from .meta import build_ensemble
 
@@ -47,23 +47,17 @@ class GeneratorSpec:
     change_fractions: Optional[tuple[float, ...]] = None
 
     def __post_init__(self):
-        for name in ("seed", "n_players", "n_arms", "n_changes"):
-            _check_integer(name, getattr(self, name), ConfigError)
-        if self.seed < 0:
-            raise ConfigError(f"must be at least 0, got {self.seed}", "seed")
+        for name, least in (("seed", 0), ("n_players", 1), ("n_arms", None), ("n_changes", 0)):
+            _check_integer(name, getattr(self, name), ConfigError, least)
         for name, value in (("delta", self.delta), ("mu_bar", self.mu_bar),
                             *(("change_fractions", f) for f in self.change_fractions or ())):
             if not math.isfinite(value):
                 raise ConfigError(f"must be finite, got {value}", name)
-        if self.n_players < 1:
-            raise ConfigError("must be positive", "n_players")
         if self.n_arms < self.n_players:
             raise ConfigError(f"market requires K >= N, got K = {self.n_arms} < "
                               f"N = {self.n_players}", "n_arms")
         if self.delta <= 0:
             raise ConfigError("floor must be positive", "delta")
-        if self.n_changes < 0:
-            raise ConfigError("cannot be negative", "n_changes")
         if self.n_arms * self.delta > self.mu_bar:
             raise ConfigError(
                 "floor infeasible, need n_arms * delta <= mu_bar "
@@ -97,17 +91,16 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        for name, value in (("version", self.version), *(("seeds", s) for s in self.seeds)):
-            _check_integer(name, value, ConfigError)
+        _check_integer("version", self.version, ConfigError)
+        for seed in self.seeds:
+            _check_integer("seeds", seed, ConfigError, least=0)
         if self.version != CONFIG_VERSION:
             raise ConfigError(f"must be {CONFIG_VERSION}, got {self.version}", "version")
-        if self.mode not in MODES:
-            raise ConfigError(f"must be one of {MODES}, got {self.mode!r}", "mode")
-        # The rules of one run: horizon, restart_period, noise, baseline (seeds below).
+        _check_choice("mode", self.mode, MODES, ConfigError)
+        # The rules of one run: horizon, restart_period, noise, baseline.
         SimulationConfig(self.horizon, self.restart_period, 0, self.noise, self.baseline)
-        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError("must be one or more distinct integers, none negative, "
-                              f"got {self.seeds}", "seeds")
+        if not self.seeds or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"must be one or more distinct integers, got {self.seeds}", "seeds")
         if self.mode == "meta" and self.restart_period is not None:
             raise ConfigError("meta mode tunes the restart_period itself; it must be 'auto', "
                               f"got {self.restart_period}", "restart_period")
@@ -382,20 +375,18 @@ def parse_config(path) -> ExperimentConfig:
 
     sections = {name: _read_section(parser, name) for name in parser.sections()}
     if "experiment" not in sections:
-        raise ConfigError("missing [experiment] section")
-    experiment = sections.pop("experiment") | {"instance": GeneratorSpec(0, 1, 1, 1, 0)}
+        raise ConfigError("missing section", "[experiment]")
+    experiment = sections.pop("experiment")
+    # [experiment]'s errors come first, on a placeholder spec that fits any horizon.
+    _build("experiment", ExperimentConfig, experiment | {"instance": GeneratorSpec(0, 1, 1, 1, 0)})
+    if "generator" in sections and len(sections) > 1:
+        raise ConfigError("use either [market]+[timeline] or [generator], not both", "[generator]")
+    for name in () if "generator" in sections else ("market", "timeline"):
+        if name not in sections:
+            raise ConfigError("missing section (or use a [generator] section)", f"[{name}]")
     makers = {"generator": GeneratorSpec, "market": MarketInstance,
               "timeline": partial(MeanRewardTimeline, experiment["horizon"])}
-    try:
-        if "generator" in sections and len(sections) > 1:
-            raise ConfigError("config must use either [market]+[timeline] or [generator], not both")
-        for name in () if "generator" in sections else ("market", "timeline"):
-            if name not in sections:
-                raise ConfigError(f"missing [{name}] section (or use a [generator] section)")
-        built = [_build(n, make, sections[n]) for n, make in makers.items() if n in sections]
-    except ConfigError:  # [experiment]'s errors come first; its placeholder spec fits any T
-        _build("experiment", ExperimentConfig, experiment)
-        raise
+    built = [_build(n, make, sections[n]) for n, make in makers.items() if n in sections]
     instance = tuple(built) if len(built) == 2 else built[0]  # (market, timeline) or a spec
     return _build("experiment", ExperimentConfig, experiment | {"instance": instance})
 

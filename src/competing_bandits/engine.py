@@ -30,7 +30,7 @@ import numpy as np
 # importable here because perfbench/tracing.py wraps them at these names.
 from .environment import (NOISE_FAMILIES, MeanRewardTimeline, draw_noise,  # noqa: F401
                           sample_reward, stable_benchmarks, total_changes)
-from .errors import InputError, _check_integer
+from .errors import InputError, _check_choice, _check_integer
 from .market import (MarketInstance, Matching, deferred_acceptance,  # noqa: F401
                      player_proposing_da)
 
@@ -133,16 +133,12 @@ class SimulationConfig:
     baseline: str = "pessimal"
 
     def __post_init__(self):
-        for name, least in (("horizon", 1), ("restart_period", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if value is not None or name != "restart_period":  # its None is "auto"
-                _check_integer(name, value)
-                if value < least:
-                    raise InputError(f"must be at least {least}, got {value}", name)
-        if self.noise not in NOISE_FAMILIES:
-            raise InputError(f"must be one of {NOISE_FAMILIES}, got {self.noise!r}", "noise")
-        if self.baseline not in BASELINES:
-            raise InputError(f"must be one of {BASELINES}, got {self.baseline!r}", "baseline")
+        _check_integer("horizon", self.horizon, least=1)
+        if self.restart_period is not None:  # None is "auto"
+            _check_integer("restart_period", self.restart_period, least=1)
+        _check_integer("seed", self.seed, least=0)
+        _check_choice("noise", self.noise, NOISE_FAMILIES)
+        _check_choice("baseline", self.baseline, BASELINES)
 
 
 @dataclass
@@ -176,9 +172,8 @@ class SimulationTrace:
     epoch_summaries: Optional[list] = None
 
     def benchmark_arms(self, baseline: Optional[str] = None) -> list[tuple[int, ...]]:
-        baseline = self.baseline if baseline is None else baseline
-        if baseline not in BASELINES:
-            raise InputError(f"must be one of {BASELINES}, got {baseline!r}", "baseline")
+        baseline = _check_choice("baseline", self.baseline if baseline is None else baseline,
+                                 BASELINES)
         return self.optimal_arms if baseline == "optimal" else self.pessimal_arms
 
 
@@ -204,12 +199,8 @@ class RegretReport:
 def compute_restart_period(horizon: int, change_count: int) -> int:
     """Block length sqrt(T / L), rounded and clamped to [1, T]; a
     stationary timeline (L = 0) gets a single block."""
-    _check_integer("horizon", horizon)
-    _check_integer("change_count", change_count)
-    if horizon < 1:
-        raise InputError(f"must be at least 1, got {horizon}", "horizon")
-    if change_count < 0:
-        raise InputError(f"cannot be negative, got {change_count}", "change_count")
+    _check_integer("horizon", horizon, least=1)
+    _check_integer("change_count", change_count, least=0)
     if change_count == 0:
         return horizon
     h = int(round(math.sqrt(horizon / change_count)))
@@ -237,9 +228,9 @@ def run_rcb_seeds(config: SimulationConfig, market: MarketInstance, timeline: Me
     advanced by one round loop. Trace i equals ``run_rcb(replace(config,
     seed=seeds[i]), market, timeline)`` bit for bit."""
     for seed in seeds:
-        _check_integer("seeds", seed)
-    if len(seeds) == 0 or min(seeds) < 0:
-        raise InputError(f"must name at least one seed, none negative, got {list(seeds)}", "seeds")
+        _check_integer("seeds", seed, least=0)
+    if len(seeds) == 0:
+        raise InputError("must name at least one seed", "seeds")
     horizon = config.horizon
     if config.restart_period is not None:
         period = min(config.restart_period, horizon)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, InputError, _check_integer
+from .errors import AssumptionError, InputError, _check_choice, _check_integer
 from .market import MarketInstance, Matching, RankOrdering, optimal_pessimal
 
 NOISE_FAMILIES = ("gaussian", "uniform", "none")
@@ -58,9 +58,7 @@ class MeanRewardTimeline:
         events: Sequence[ChangeEvent] = (),
         mu_bar: float = 1.0,
     ):
-        _check_integer("horizon", horizon)
-        if horizon < 1:
-            raise InputError(f"must be at least 1, got {horizon}", "horizon")
+        _check_integer("horizon", horizon, least=1)
         if not 0 < mu_bar < math.inf:
             raise InputError(f"must be positive and finite, got {mu_bar}", "mu_bar")
         means = tuple(tuple(float(v) for v in row) for row in initial_means)
@@ -124,8 +122,7 @@ class MeanRewardTimeline:
 
 def means_at(timeline: MeanRewardTimeline, t: int) -> tuple[tuple[float, ...], ...]:
     """The mean matrix in force at round ``t`` (1-based)."""
-    if not (1 <= _check_integer("t", t) <= timeline.horizon):
-        raise InputError(f"round {t} outside [1, {timeline.horizon}]", "t")
+    _check_integer("t", t, least=1, most=timeline.horizon)
     # The first segment that ends at round t or later.
     return timeline._segments[bisect.bisect_left(timeline._segments, t, key=lambda s: s[1])][2]
 
@@ -151,7 +148,7 @@ def draw_noise(rng: np.random.Generator, noise: str, n: int) -> np.ndarray:
     if noise == "none":
         # x + (-0.0) == x bit for bit, a mean of -0.0 included.
         return np.full(n, -0.0)
-    raise InputError(f"unknown noise family {noise!r}")
+    _check_choice("noise", noise, NOISE_FAMILIES)  # raises: none of the three matched
 
 
 def sample_reward(
@@ -164,10 +161,8 @@ def sample_reward(
 ) -> float:
     """Draw one stochastic reward around the true mean at round ``t``
     (noise families as in ``draw_noise``)."""
-    for name, index, size in (("player", player, timeline.n_players),
-                              ("arm", arm, timeline.n_arms)):
-        if not 0 <= _check_integer(name, index) < size:
-            raise InputError(f"must be an index below {size}, got {index}", name)
+    _check_integer("player", player, least=0, most=timeline.n_players - 1)
+    _check_integer("arm", arm, least=0, most=timeline.n_arms - 1)
     return means_at(timeline, t)[player][arm] + draw_noise(rng, noise, 1).item()
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check that
-raises one."""
+"""Exception types shared across the package, and the integer and choice
+checks that raise one."""
 
 import operator
 from typing import Optional
@@ -30,12 +30,26 @@ class ConfigError(InputError):
     """An experiment configuration file failed to parse or validate."""
 
 
-def _check_integer(name: str, value, error: type = InputError) -> int:
+def _check_integer(name: str, value, error: type = InputError,
+                   least: Optional[int] = None, most: Optional[int] = None) -> int:
     """``value`` as a Python int if it is an integer (numpy integers
-    included, booleans not); else ``error`` naming ``name``."""
+    included, booleans not) within the inclusive bounds given; else
+    ``error`` naming ``name``."""
     try:
         if isinstance(value, bool):  # operator.index(True) is 1
             raise TypeError
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise error(f"expected an integer, got {value!r}", name) from None
+    if least is not None and value < least:
+        raise error(f"must be at least {least}, got {value}", name)
+    if most is not None and value > most:
+        raise error(f"must be at most {most}, got {value}", name)
+    return value
+
+
+def _check_choice(name: str, value, choices: tuple, error: type = InputError):
+    """``value`` if it is one of ``choices``; else ``error`` naming ``name``."""
+    if value not in choices:
+        raise error(f"must be one of {choices}, got {value!r}", name)
+    return value

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InputError
+from .errors import _check_integer
 from .market import RankOrdering
 
 
@@ -43,10 +43,8 @@ class UcbState:
     __slots__ = ("owner", "n_arms", "pull_counts", "reward_sums", "rounds_since_restart")
 
     def __init__(self, owner: int, n_arms: int):
-        if n_arms < 1:
-            raise InputError(f"must be at least 1, got {n_arms}", "n_arms")
         self.owner = owner
-        self.n_arms = n_arms
+        self.n_arms = _check_integer("n_arms", n_arms, least=1)
         self.pull_counts = [0] * n_arms
         self.reward_sums = [0.0] * n_arms
         self.rounds_since_restart = 0
@@ -64,8 +62,7 @@ class UcbState:
 
     def observe(self, arm: int, reward: float) -> None:
         """Record one pulled-arm reward."""
-        if not (0 <= arm < self.n_arms):
-            raise InputError(f"must be an index below {self.n_arms}, got {arm}", "arm")
+        arm = _check_integer("arm", arm, least=0, most=self.n_arms - 1)
         self.pull_counts[arm] += 1
         self.reward_sums[arm] += reward
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, InputError, _check_integer
+from .errors import CapacityError, InputError, _check_choice, _check_integer
 
 # Exhaustive enumeration is factorial in the market size; refuse anything
 # bigger than this on either side.
@@ -35,10 +35,8 @@ class MarketInstance:
     arm_utilities: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        _check_integer("n_players", self.n_players)
+        _check_integer("n_players", self.n_players, least=1)
         _check_integer("n_arms", self.n_arms)
-        if self.n_players < 1:
-            raise InputError(f"must be at least 1, got {self.n_players}", "n_players")
         if self.n_arms < self.n_players:
             raise InputError(f"market requires K >= N, got K = {self.n_arms} < "
                              f"N = {self.n_players}", "n_arms")
@@ -108,7 +106,7 @@ class BlockingTriplet:
 
     def __post_init__(self):
         if self.preferred_arm == self.matched_arm:
-            raise InputError("a blocking triplet needs two distinct arms")
+            raise InputError("a blocking triplet needs two distinct arms", "matched_arm")
 
 
 def _check_orderings(player_orderings: Sequence[RankOrdering], market: MarketInstance) -> None:
@@ -141,21 +139,19 @@ def deferred_acceptance(
     the submitted orderings and the market's arm utilities).
     """
     _check_orderings(player_orderings, market)
-    if proposing_side == "players":
+    if _check_choice("proposing_side", proposing_side, ("players", "arms")) == "players":
         rankings = [o.ranks for o in player_orderings]
         return Matching(tuple(player_proposing_da(rankings, market.arm_utilities)))
-    if proposing_side == "arms":
-        # Roles swapped: arms propose down their utilities and players accept
-        # by their rankings. K - N dummy players, ranked last by every arm
-        # and indifferent among arms, absorb the arms left unmatched.
-        n, k = market.n_players, market.n_arms
-        arm_rankings = [sorted(range(n), key=lambda p: -u[p]) + list(range(n, k))
-                        for u in market.arm_utilities]
-        player_utilities = [{arm: -pos for pos, arm in enumerate(o.ranks)}
-                            for o in player_orderings] + [[0] * k] * (k - n)
-        holders = player_proposing_da(arm_rankings, player_utilities)
-        return Matching(tuple(holders.index(p) for p in range(n)))
-    raise InputError(f"must be 'players' or 'arms', got {proposing_side!r}", "proposing_side")
+    # Roles swapped: arms propose down their utilities and players accept
+    # by their rankings. K - N dummy players, ranked last by every arm and
+    # indifferent among arms, absorb the arms left unmatched.
+    n, k = market.n_players, market.n_arms
+    arm_rankings = [sorted(range(n), key=lambda p: -u[p]) + list(range(n, k))
+                    for u in market.arm_utilities]
+    player_utilities = [{arm: -pos for pos, arm in enumerate(o.ranks)}
+                        for o in player_orderings] + [[0] * k] * (k - n)
+    holders = player_proposing_da(arm_rankings, player_utilities)
+    return Matching(tuple(holders.index(p) for p in range(n)))
 
 
 def player_proposing_da(
@@ -205,6 +201,8 @@ def blocking_pairs(
     if len(m.assignment) != market.n_players:
         raise InputError(f"assigns {len(m.assignment)} players, the market has {market.n_players}",
                          "m")
+    for arm in m.assignment:
+        _check_integer("m", arm, least=0, most=market.n_arms - 1)
     return _blocking_pairs(m, player_orderings, market)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import SimulationConfig, SimulationTrace, _Run
 from .environment import MeanRewardTimeline, stable_benchmarks
-from .errors import InputError
+from .errors import InputError, _check_integer
 from .market import MarketInstance
 
 
@@ -54,7 +54,7 @@ class Exp3State:
 
     @classmethod
     def fresh(cls, n_arms: int, gamma: float, rng: np.random.Generator) -> "Exp3State":
-        return cls(np.ones(n_arms), gamma, rng)
+        return cls(np.ones(_check_integer("n_arms", n_arms, least=1)), gamma, rng)
 
     def probabilities(self) -> np.ndarray:
         w = self.weights / self.weights.sum()
@@ -76,8 +76,7 @@ def build_ensemble(horizon: int) -> EpochEnsemble:
     The grid spans the tuned period for any change count between constant
     and linear in the horizon, each within a factor two of some member.
     """
-    if horizon < 2:
-        raise InputError(f"meta mode needs a horizon of at least 2, got {horizon}", "horizon")
+    _check_integer("horizon", horizon, least=2)  # meta mode needs two rounds
     n_periods = math.ceil(0.5 * math.log2(horizon)) + 1
     periods = tuple(2 ** j for j in range(n_periods))
     root = math.isqrt(horizon)
@@ -103,8 +102,7 @@ def exp3_update(state: Exp3State, chosen: int, reward: float) -> None:
     """Importance-weighted exponential update of the chosen arm only."""
     if not (0.0 <= reward <= 1.0):
         raise InputError(f"must be in [0, 1], got {reward}", "reward")
-    if not (0 <= chosen < len(state.weights)):
-        raise InputError(f"must be an arm index below {len(state.weights)}, got {chosen}", "chosen")
+    chosen = _check_integer("chosen", chosen, least=0, most=len(state.weights) - 1)
     p = state.probabilities()[chosen]
     n = len(state.weights)
     state.weights[chosen] *= math.exp(state.gamma * (reward / p) / n)

@@ -17,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from competing_bandits import (
+    BlockingTriplet,
     ConfigError,
+    Exp3State,
     InputError,
     MarketInstance,
     Matching,
@@ -26,7 +28,9 @@ from competing_bandits import (
     SimulationConfig,
     UcbState,
     blocking_pairs,
+    build_ensemble,
     deferred_acceptance,
+    exp3_update,
     regret_report,
     run_rcb,
     sample_reward,
@@ -47,7 +51,7 @@ from competing_bandits.config import (
     resolve_instance,
 )
 from competing_bandits.engine import BASELINES
-from competing_bandits.environment import NOISE_FAMILIES
+from competing_bandits.environment import NOISE_FAMILIES, draw_noise
 from competing_bandits.meta import run_rcb_meta
 from timeline_oracle import min_gap
 
@@ -225,11 +229,11 @@ def test_parse_rejects_negative_generator_seed(tmp_path):
     (EXPLICIT_CONFIG.replace("[timeline]", "[timeline]\nmu_bar = 0"),
      "[timeline] mu_bar: must be positive"),
     (GENERATOR_CONFIG.replace("n_players = 2", "n_players = 0"),
-     "[generator] n_players: must be positive"),
+     "[generator] n_players: must be at least 1, got 0"),
     (GENERATOR_CONFIG.replace("delta = 0.1", "delta = 0.6"),
      "[generator] delta: floor infeasible"),
     (GENERATOR_CONFIG.replace("changes = 3", "changes = -1"),
-     "[generator] changes: cannot be negative"),
+     "[generator] changes: must be at least 0, got -1"),
     (GENERATOR_CONFIG + "change_fractions = 0.5\n",
      "[generator] change_fractions: length must equal changes"),
     (GENERATOR_CONFIG.replace("horizon = 400", "horizon = 3"),
@@ -851,7 +855,7 @@ changes = 1
 
 
 @pytest.mark.parametrize("grid_key, value, error", [
-    ("L", -1, "--grid L=-1: n_changes: cannot be negative"),
+    ("L", -1, "--grid L=-1: n_changes: must be at least 0, got -1"),
     ("T", 2, "--grid T=2: n_changes: cannot place 3 changes at distinct times in [2, 2]"),
 ])
 def test_sweep_grid_error_names_the_point_and_its_field(tmp_path, grid_key, value, error):
@@ -891,6 +895,10 @@ ORDERINGS_2X2 = [RankOrdering(0, (0, 1)), RankOrdering(1, (1, 0))]
 TIMELINE_1X2 = MeanRewardTimeline(5, ((0.1, 0.2),))
 
 
+def exp3_state():
+    return Exp3State.fresh(3, 0.5, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("call, field", [
     pytest.param(lambda _: sample_reward(TIMELINE_1X2, 1, 0, 1, np.random.default_rng(0)),
                  "player", id="sample_reward-player"),
@@ -909,7 +917,30 @@ TIMELINE_1X2 = MeanRewardTimeline(5, ((0.1, 0.2),))
                  "player_orderings", id="deferred_acceptance-ordering_length"),
     pytest.param(lambda _: blocking_pairs(Matching((0,)), ORDERINGS_2X2, MARKET_2X2), "m",
                  id="blocking_pairs-m"),
+    pytest.param(lambda _: blocking_pairs(Matching((0, 5)), ORDERINGS_2X2, MARKET_2X2), "m",
+                 id="blocking_pairs-arm_past_K"),
+    pytest.param(lambda _: blocking_pairs(Matching((-1, 0)), ORDERINGS_2X2, MARKET_2X2), "m",
+                 id="blocking_pairs-negative_arm"),
     pytest.param(sweep_meta_config, "[experiment] mode", id="run_sweep-meta_mode"),
+    # Each of these raised a bare TypeError or IndexError, took a boolean for
+    # an integer, or named no field.
+    pytest.param(lambda _: UcbState(0, 2.5), "n_arms", id="UcbState-float_n_arms"),
+    pytest.param(lambda _: UcbState(0, True), "n_arms", id="UcbState-bool_n_arms"),
+    pytest.param(lambda _: UcbState(0, 3).observe(1.0, 0.5), "arm", id="UcbState.observe-float"),
+    pytest.param(lambda _: UcbState(0, 3).observe(True, 0.5), "arm", id="UcbState.observe-bool"),
+    pytest.param(lambda _: exp3_update(exp3_state(), 1.0, 0.5), "chosen",
+                 id="exp3_update-float"),
+    pytest.param(lambda _: exp3_update(exp3_state(), True, 0.5), "chosen",
+                 id="exp3_update-bool"),
+    pytest.param(lambda _: build_ensemble(2.5), "horizon", id="build_ensemble-float"),
+    pytest.param(lambda _: build_ensemble(16.0), "horizon", id="build_ensemble-integral_float"),
+    pytest.param(lambda _: Exp3State.fresh(2.5, 0.5, np.random.default_rng(0)), "n_arms",
+                 id="Exp3State.fresh-float"),
+    pytest.param(lambda _: BlockingTriplet(0, 1, 1), "matched_arm", id="BlockingTriplet-same_arm"),
+    pytest.param(lambda _: draw_noise(np.random.default_rng(0), "bernoulli", 3), "noise",
+                 id="draw_noise-family"),
+    pytest.param(lambda _: sample_reward(TIMELINE_1X2, 0, 0, 1, np.random.default_rng(0),
+                                         "bernoulli"), "noise", id="sample_reward-family"),
 ])
 def test_library_errors_name_their_field(tmp_path, call, field):
     """Each of these errors names the input it rejects, and reads ``field: message``."""
@@ -921,7 +952,8 @@ def test_library_errors_name_their_field(tmp_path, call, field):
 
 def test_sweep_rejects_unknown_grid_key(tmp_path):
     config = parse_config(write_config(tmp_path, EXPLICIT_CONFIG))
-    with pytest.raises(InputError, match="must be T, L or H, got 'Q'") as err:
+    message = "must be one of ('T', 'L', 'H'), got 'Q'"
+    with pytest.raises(InputError, match=re.escape(message)) as err:
         run_sweep(config, "Q", [1])
     assert err.value.field == "--grid"
 
@@ -1107,7 +1139,7 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["sweep", "--grid", "H=1,1"], "--grid"),
         (["oracle-check", "--sizes", "2,7"], "--sizes"),
         (["oracle-check", "--seed", "-1"], "--seed"),
-        (["sweep", "--grid", "X=1,2"], "--grid: key must be T, L or H, got 'X'"),
+        (["sweep", "--grid", "X=1,2"], "--grid: must be one of ('T', 'L', 'H'), got 'X'"),
         (["sweep", "--grid", "H"], "--grid: must look like KEY=v1,v2,..."),
     ],
 )

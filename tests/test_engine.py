@@ -552,7 +552,7 @@ def test_batched_run_rejects_empty_seed_list():
     with pytest.raises(InputError, match="seeds") as err:
         run_rcb_seeds(SimulationConfig(5), market, timeline, [])
     assert err.value.field == "seeds"
-    with pytest.raises(InputError, match="negative") as err:
+    with pytest.raises(InputError, match="must be at least 0, got -1") as err:
         run_rcb_seeds(SimulationConfig(5), market, timeline, [0, -1])
     assert err.value.field == "seeds"
 
