@@ -1,7 +1,7 @@
 """Command line driver: single runs, grid sweeps, config linting, and the
 deferred-acceptance-vs-enumeration self check.
 
-Exit codes: 0 success, 1 validation failure, 2 oracle mismatch.
+Exit codes: 0 success, 1 any rejected input (usage errors too), 2 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def _sim_config(config: ExperimentConfig, seed: int = 0) -> SimulationConfig:
 
 def run_sweep(config: ExperimentConfig, grid_key: str,
               grid_values: Sequence[int]) -> list[SweepRow]:
-    """Average the max-over-players pessimal regret across seeds for each
-    grid point. Grid keys: T (horizon), L (change count), H (restart
-    period); T and L require a [generator] config, and the mode must be
-    rcb."""
+    """Average the max-over-players final regret, against the config's
+    baseline, across seeds for each grid point. Grid keys: T (horizon), L
+    (change count), H (restart period); the values must not repeat, T and L
+    require a [generator] config, and the mode must be rcb."""
     return _sweep_rows(config, _sweep_points(config, grid_key, grid_values))
 
 
@@ -59,6 +59,8 @@ def _sweep_points(config: ExperimentConfig, grid_key: str, grid_values: Sequence
     """Each grid point's (value, config, market, timeline), all validated
     and resolved before any point runs, so a bad one fails early."""
     _check_choice("--grid", grid_key, ("T", "L", "H"))
+    if len(set(grid_values)) < len(grid_values):
+        raise InputError(f"values must not repeat, got {list(grid_values)}", f"--grid {grid_key}")
     if config.mode == "meta":
         raise ConfigError("rcb sweep runs mode rcb only, got 'meta'", "[experiment] mode")
     spec = config.instance
@@ -87,7 +89,7 @@ def _sweep_rows(config: ExperimentConfig, points: list) -> list[SweepRow]:
     rows = []
     for value, point, market, timeline in points:
         traces = run_rcb_seeds(_sim_config(point), market, timeline, config.seeds)
-        finals = [float(regret_report(trace, "pessimal").final().max()) for trace in traces]
+        finals = [float(regret_report(trace).final().max()) for trace in traces]
         period = traces[0].restart_period
         del traces  # free this point's arrays before the next point allocates its own
         rows.append(SweepRow(value, statistics.fmean(finals), statistics.pstdev(finals),
@@ -130,17 +132,21 @@ def oracle_check(n_instances: int, sizes: Sequence[int], seed: int) -> list[str]
     """Cross-validate both DA orientations against exhaustive enumeration.
 
     Returns a list of mismatch descriptions (empty means all clean). Each
-    instance draws N from ``sizes`` and K uniformly from N to the largest
-    size (at most ``ENUMERATION_LIMIT``), then checks that player-proposing
-    DA matches the enumeration's player-optimal element and arm-proposing
-    DA its player-pessimal one.
+    instance draws N from ``sizes`` (non-empty, each in [1,
+    ``ENUMERATION_LIMIT``]) and K uniformly from N to the largest size,
+    then checks that player-proposing DA matches the enumeration's
+    player-optimal element and arm-proposing DA its player-pessimal one.
     """
-    rng = np.random.default_rng(seed)
-    k_max = min(max(sizes), ENUMERATION_LIMIT)
+    n_instances = _check_integer("n_instances", n_instances, least=1)
+    sizes = [_check_integer("sizes", size, least=1, most=ENUMERATION_LIMIT) for size in sizes]
+    if not sizes:
+        raise InputError("must hold at least one size", "sizes")
+    rng = np.random.default_rng(_check_integer("seed", seed, least=0))
+    k_max = max(sizes)
     mismatches = []
     for idx in range(n_instances):
-        n = int(rng.choice(list(sizes)))
-        k = int(rng.integers(n, max(n, k_max) + 1))
+        n = int(rng.choice(sizes))
+        k = int(rng.integers(n, k_max + 1))
         market, orderings = random_market_and_orderings(n, k, rng)
         stable = enumerate_stable_matchings(orderings, market)
         positions = [{m.assignment[p] for m in stable} for p in range(n)]
@@ -226,10 +232,7 @@ def _cmd_sweep(args) -> int:
     if not eq:
         raise InputError("must look like KEY=v1,v2,... with integer values", "--grid")
     grid_key = grid_key.strip()
-    grid_values = _int_list(raw, f"--grid {grid_key}")
-    if len(set(grid_values)) < len(grid_values):
-        raise InputError(f"values must not repeat, got {raw!r}", f"--grid {grid_key}")
-    points = _sweep_points(config, grid_key, grid_values)
+    points = _sweep_points(config, grid_key, _int_list(raw, f"--grid {grid_key}"))
     out_dir = _out_dir(args, config)
     rows = _sweep_rows(config, points)
     path = out_dir / f"sweep_{grid_key}.csv"
@@ -242,11 +245,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    sizes = [_check_integer("--sizes", size, least=1, most=ENUMERATION_LIMIT)
-             for size in _int_list(args.sizes, "--sizes")]
-    _check_integer("--instances", args.instances, least=1)
-    _check_integer("--seed", args.seed, least=0)
-    mismatches = oracle_check(args.instances, sizes, args.seed)
+    sizes = _int_list(args.sizes, "--sizes")
+    try:
+        mismatches = oracle_check(args.instances, sizes, args.seed)
+    except InputError as exc:  # named by the flag that gave the field
+        raise type(exc)(exc.message, "--instances" if exc.field == "n_instances"
+                        else f"--{exc.field}") from None
     if mismatches:
         for line in mismatches:
             print(f"MISMATCH: {line}", file=sys.stderr)
@@ -255,8 +259,13 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error leaves through main, exit 1
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rcb",
         description="Restart-based bandit learning in two-sided matching markets",
     )
@@ -266,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", help="comma-separated seed list overriding the config")
     p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--mode", choices=("rcb", "meta"))
+    p_run.add_argument("--mode", help="rcb or meta, overriding the config")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="grid sweep, write a summary CSV")
@@ -292,9 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CompetingBanditsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -59,7 +59,7 @@ class MeanRewardTimeline:
         mu_bar: float = 1.0,
     ):
         _check_integer("horizon", horizon, least=1)
-        if not 0 < mu_bar < math.inf:
+        if isinstance(mu_bar, (bool, np.bool_)) or not 0 < mu_bar < math.inf:
             raise InputError(f"must be positive and finite, got {mu_bar}", "mu_bar")
         means = tuple(tuple(float(v) for v in row) for row in initial_means)
         if not means:

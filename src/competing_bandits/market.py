@@ -71,6 +71,7 @@ class RankOrdering:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
+        _check_integer("owner", self.owner, least=0)
         ranks = tuple(_check_integer("ranks", r) for r in self.ranks)
         if sorted(ranks) != list(range(len(ranks))):
             raise InputError(f"must be a permutation of arm indices, got {ranks} for player "

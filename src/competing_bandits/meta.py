@@ -49,7 +49,7 @@ class Exp3State:
             raise InputError("must be a non-empty vector", "weights")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise InputError(f"must be positive and finite, got {self.weights.tolist()}", "weights")
-        if not (0 < self.gamma <= 1):
+        if isinstance(self.gamma, (bool, np.bool_)) or not (0 < self.gamma <= 1):
             raise InputError(f"must be in (0, 1], got {self.gamma}", "gamma")
 
     @classmethod
@@ -100,7 +100,7 @@ def exp3_select(state: Exp3State) -> int:
 
 def exp3_update(state: Exp3State, chosen: int, reward: float) -> None:
     """Importance-weighted exponential update of the chosen arm only."""
-    if not (0.0 <= reward <= 1.0):
+    if isinstance(reward, (bool, np.bool_)) or not (0.0 <= reward <= 1.0):
         raise InputError(f"must be in [0, 1], got {reward}", "reward")
     chosen = _check_integer("chosen", chosen, least=0, most=len(state.weights) - 1)
     p = state.probabilities()[chosen]

@@ -941,6 +941,23 @@ def exp3_state():
                  id="draw_noise-family"),
     pytest.param(lambda _: sample_reward(TIMELINE_1X2, 0, 0, 1, np.random.default_rng(0),
                                          "bernoulli"), "noise", id="sample_reward-family"),
+    # A boolean is not a number, and an owner is a player index.
+    pytest.param(lambda _: Exp3State(np.ones(2), True, np.random.default_rng(0)), "gamma",
+                 id="Exp3State-bool_gamma"),
+    pytest.param(lambda _: exp3_update(exp3_state(), 0, True), "reward",
+                 id="exp3_update-bool_reward"),
+    pytest.param(lambda _: MeanRewardTimeline(5, ((0.5, 0.2),), (), True), "mu_bar",
+                 id="MeanRewardTimeline-bool_mu_bar"),
+    pytest.param(lambda _: RankOrdering(-3, (0, 1)), "owner", id="RankOrdering-owner"),
+    # The library oracle check and sweep own their rules, not the CLI.
+    pytest.param(lambda _: oracle_check(2, (), 0), "sizes", id="oracle_check-no_sizes"),
+    pytest.param(lambda _: oracle_check(1, (2,), -1), "seed", id="oracle_check-negative_seed"),
+    pytest.param(lambda _: oracle_check(1.5, (2,), 0), "n_instances",
+                 id="oracle_check-float_n_instances"),
+    pytest.param(lambda _: oracle_check(1, (7,), 0), "sizes", id="oracle_check-size_past_limit"),
+    pytest.param(lambda tmp_path: run_sweep(parse_config(write_config(tmp_path, EXPLICIT_CONFIG)),
+                                            "H", [10, 10]), "--grid H",
+                 id="run_sweep-repeated_value"),
 ])
 def test_library_errors_name_their_field(tmp_path, call, field):
     """Each of these errors names the input it rejects, and reads ``field: message``."""
@@ -1117,6 +1134,39 @@ def test_cli_sweep_writes_summary(tmp_path, capsys):
     assert len(data) == 3
 
 
+OPTIMAL_SWEEP_CONFIG = """
+[experiment]
+version = 1
+horizon = 200
+seeds = 0, 1
+baseline = optimal
+
+[generator]
+seed = 4
+n_players = 3
+n_arms = 3
+delta = 0.1
+changes = 2
+"""
+
+
+def test_cli_sweep_reports_the_config_baseline(tmp_path):
+    """The sweep CSV's mean regret is measured against the baseline its
+    header echoes: each seed's optimal final regret, not the pessimal one."""
+    path = write_config(tmp_path, OPTIMAL_SWEEP_CONFIG)
+    out_dir = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--grid", "H=5", "--out", str(out_dir)]) == 0
+    lines = (out_dir / "sweep_H.csv").read_text().splitlines()
+    assert "# baseline = optimal" in lines
+    config = parse_config(path)
+    market, timeline = resolve_instance(config)
+    finals = {baseline: [float(regret_report(
+        run_rcb(SimulationConfig(200, 5, seed, baseline=baseline), market, timeline)
+    ).final().max()) for seed in (0, 1)] for baseline in BASELINES}
+    assert finals["optimal"] != finals["pessimal"]
+    assert float(lines[-1].split(",")[1]) == sum(finals["optimal"]) / 2
+
+
 def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
     path = write_config(tmp_path, EXPLICIT_CONFIG)
     assert main(["sweep", "--config", str(path), "--grid", "H=a,b"]) == 1
@@ -1141,16 +1191,32 @@ def test_cli_sweep_rejects_malformed_grid(tmp_path, capsys):
         (["oracle-check", "--seed", "-1"], "--seed"),
         (["sweep", "--grid", "X=1,2"], "--grid: must be one of ('T', 'L', 'H'), got 'X'"),
         (["sweep", "--grid", "H"], "--grid: must look like KEY=v1,v2,..."),
+        # argparse's own usage errors, and a mode only the config checks
+        (["oracle-check", "--instances", "abc"], "--instances"),
+        (["run", "--mode", "foo"], "--mode foo: must be one of ('rcb', 'meta'), got 'foo'"),
+        (["run"], "--config"),
+        ([], "command"),
     ],
 )
 def test_cli_rejects_malformed_flag_values(tmp_path, capsys, argv, flag):
+    """Every rejected argument, a usage error included, exits 1 with one
+    ``error:`` line naming its flag; exit 2 is left to an oracle mismatch."""
     out_dir = tmp_path / "out"
-    if argv[0] != "oracle-check":
+    if len(argv) > 1 and argv[0] != "oracle-check":  # a bare command stays without --config
         argv = argv + ["--config", str(write_config(tmp_path, EXPLICIT_CONFIG)),
                        "--out", str(out_dir)]
     assert main(argv) == 1
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
     assert not out_dir.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert "oracle-check" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--grid", "H=5,20"]],

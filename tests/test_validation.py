@@ -94,6 +94,10 @@ INTEGER_SITES = [
     ("exp3_update", lambda v: exp3_update(exp3(), v, 0.5), "chosen", InputError, 0, 2),
     ("Exp3State.fresh", lambda v: exp3(v), "n_arms", InputError, 1, None),
     ("build_ensemble", build_ensemble, "horizon", InputError, 2, None),
+    ("oracle_check", lambda v: cli.oracle_check(v, (2,), 0), "n_instances", InputError,
+     1, None),
+    ("oracle_check", lambda v: cli.oracle_check(1, (v,), 0), "sizes", InputError, 1, 6),
+    ("oracle_check", lambda v: cli.oracle_check(1, (2,), v), "seed", InputError, 0, None),
     # Flags arrive as text (--sizes) or as argparse integers.
     ("oracle-check", lambda v: oracle_check(sizes=str(v)), "--sizes", InputError, 1, 6),
     ("oracle-check", lambda v: oracle_check(instances=v), "--instances", InputError, 1, None),
