@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .config import ExperimentConfig, GeneratorSpec, echo_config, parse_config, resolve_instance
-from .engine import (SimulationConfig, regret_report, run_rcb, run_rcb_seeds,
+from .engine import (SimulationConfig, _TraceStream, regret_report, run_rcb, run_rcb_seeds,
                      write_trace_csv)
 from .errors import CompetingBanditsError, ConfigError, InputError, _check_choice, _check_integer
 from .market import (
@@ -214,13 +214,16 @@ def _cmd_run(args) -> int:
     _print_echo(config)
     metadata = echo_config(config)
     market, timeline = resolve_instance(config)
-    runner = run_rcb_meta if config.mode == "meta" else run_rcb
     for seed in config.seeds:
-        trace = runner(_sim_config(config, seed), market, timeline)
         trace_path = out_dir / f"trace_{config.mode}_seed{seed}.csv"
-        final = write_trace_csv(trace, trace_path, extra_metadata=metadata)
-        if config.mode == "meta":
+        if config.mode == "meta":  # the trace CSV is written while the epochs play
+            export = _TraceStream(trace_path, metadata)
+            trace = run_rcb_meta(_sim_config(config, seed), market, timeline, export=export)
+            final = export.final
             write_epoch_summary_csv(trace, out_dir / f"epochs_seed{seed}.csv")
+        else:
+            trace = run_rcb(_sim_config(config, seed), market, timeline)
+            final = write_trace_csv(trace, trace_path, extra_metadata=metadata)
         print(f"seed {seed}: wrote {trace_path} "
               f"(max-player {trace.baseline} regret {final.max():.4f})")
     return 0

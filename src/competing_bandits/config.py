@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import SimulationConfig
 from .environment import ChangeEvent, MeanRewardTimeline
-from .errors import ConfigError, InputError, _check_choice, _check_integer
+from .errors import ConfigError, InputError, _check_choice, _check_integer, _check_real
 from .market import MarketInstance
 from .meta import build_ensemble
 
@@ -51,8 +51,7 @@ class GeneratorSpec:
             _check_integer(name, getattr(self, name), ConfigError, least)
         for name, value in (("delta", self.delta), ("mu_bar", self.mu_bar),
                             *(("change_fractions", f) for f in self.change_fractions or ())):
-            if not math.isfinite(value):
-                raise ConfigError(f"must be finite, got {value}", name)
+            _check_real(name, value, ConfigError)
         if self.n_arms < self.n_players:
             raise ConfigError(f"market requires K >= N, got K = {self.n_arms} < "
                               f"N = {self.n_players}", "n_arms")

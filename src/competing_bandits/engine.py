@@ -18,7 +18,7 @@ import tempfile
 import traceback
 import warnings
 from bisect import bisect_left
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -446,19 +446,13 @@ def trace_metadata(trace: SimulationTrace) -> list[tuple[str, str]]:
     ]
 
 
-def write_trace_csv(trace: SimulationTrace, path,
-                    extra_metadata: Sequence[tuple[str, str]] = ()) -> np.ndarray:
-    """Write one row per (round, player); resolved parameters go into
-    leading '#' comment lines so the file alone reproduces the run.
-    Returns each player's cumulative regret at the horizon, bit for bit
-    ``regret_report(trace).final()``.
-
-    Rows carry csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``).
-    Each ``_regret_chunks`` chunk is joined at once from six parts per row,
-    filled column by column; a row's true mean, benchmark arm and increment
-    come from its segment's string table. From ``_FORK_ROWS`` rows up, a
-    forked worker per further usable CPU writes a later share of the chunks
-    to an unlinked temporary file, appended after this process's share."""
+def _formatter(trace: SimulationTrace, extra_metadata: Sequence[tuple[str, str]]):
+    """The export's header text ('#' lines of one-line pairs, then the column row)
+    and its one row formatter: ``write(out, chunk)`` writes a ``_regret_chunks``
+    chunk's rows to ``out`` and returns its last cumulative regret row. Rows carry
+    csv.writer's bytes ("\\r\\n" line ends, floats as ``repr``); each chunk is joined
+    at once from six parts per row, filled column by column, and a row's true mean,
+    benchmark arm and increment come from its segment's string table."""
     metadata = list(trace_metadata(trace)) + list(extra_metadata)
     for key, value in metadata:
         if any(c in f"{key}{value}" for c in "\n\r"):
@@ -466,48 +460,116 @@ def write_trace_csv(trace: SimulationTrace, path,
     n, k = trace.n_players, len(trace.segments[0][2][0])
     offsets = np.arange(n) * k
     is_meta = trace.epoch_summaries is not None
+    header = "".join(f"# {key} = {value}\n" for key, value in metadata)
+    header += ",".join(META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS) + "\r\n"
     player_arm = [f"{p},{a}," for p in range(n) for a in range(k)]  # cell p * K + a
     tables = [[f",{v!r},{b},{gap!r}," for v, b, gap in cells] for cells in _segment_cells(trace)]
 
+    def write(out, chunk) -> np.ndarray:
+        (epoch, start, period, block), lo, hi, segment, _, cumulative = chunk
+        tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
+        # Cumulative regret takes few distinct values: repr each distinct
+        # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
+        bits, inverse = np.unique(cumulative.ravel().view(np.int64), return_inverse=True)
+        distinct = [repr(v) for v in bits.view(np.float64).tolist()]
+        # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
+        # each column fills its parts with one strided slice assignment.
+        parts = [tail] * (6 * (hi - lo) * n)
+        rounds = np.arange(lo + 1, hi + 1)
+        j = rounds - start  # round t is round j of its play call, from 0
+        blocks, flags = block + j // period, (j % period == 0).astype(np.int64)
+        heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(), flags.tolist()))
+        for p in range(n):
+            parts[6 * p::6 * n] = heads
+        cells = (trace.matchings[lo:hi] + offsets).ravel().tolist()
+        parts[1::6] = map(player_arm.__getitem__, cells)
+        parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
+        parts[3::6] = map(tables[segment].__getitem__, cells)
+        parts[4::6] = map(distinct.__getitem__, inverse.tolist())
+        out.write("".join(parts))
+        return cumulative[-1]
+    return header, write
+
+
+def write_trace_csv(trace: SimulationTrace, path,
+                    extra_metadata: Sequence[tuple[str, str]] = ()) -> np.ndarray:
+    """Write one row per (round, player); resolved parameters go into
+    leading '#' comment lines so the file alone reproduces the run.
+    Returns each player's cumulative regret at the horizon, bit for bit
+    ``regret_report(trace).final()``.
+
+    From ``_FORK_ROWS`` rows up, a forked worker per further usable CPU
+    formats a later share of the chunks into an unlinked temporary file,
+    appended after this process's share."""
+    header, write = _formatter(trace, extra_metadata)
+
     def write_share(i, share):
         """Write the chunks ``share`` to ``outs[i]``; earlier ones only carry the regret."""
-        chunks = islice(_regret_chunks(trace), share.start, share.stop)  # runs the earlier ones
-        for (epoch, start, period, block), lo, hi, segment, _, cumulative in chunks:
-            tail = f",{epoch},{period}\r\n" if is_meta else "\r\n"
-            # Cumulative regret takes few distinct values: repr each distinct
-            # bit pattern once (bits, not values, so -0.0 stays apart from 0.0).
-            bits, inverse = np.unique(cumulative.ravel().view(np.int64), return_inverse=True)
-            distinct = [repr(v) for v in bits.view(np.float64).tolist()]
-            # Row r's parts are parts[6 * r:6 * r + 6], prefilled with the tail;
-            # each column fills its parts with one strided slice assignment.
-            parts = [tail] * (6 * (hi - lo) * n)
-            rounds = np.arange(lo + 1, hi + 1)
-            j = rounds - start  # round t is round j of its play call, from 0
-            blocks, flags = block + j // period, (j % period == 0).astype(np.int64)
-            heads = list(map("{},{},{},".format, rounds.tolist(), blocks.tolist(), flags.tolist()))
-            for p in range(n):
-                parts[6 * p::6 * n] = heads
-            cells = (trace.matchings[lo:hi] + offsets).ravel().tolist()
-            parts[1::6] = map(player_arm.__getitem__, cells)
-            parts[2::6] = map(repr, trace.rewards[lo:hi].ravel().tolist())
-            parts[3::6] = map(tables[segment].__getitem__, cells)
-            parts[4::6] = map(distinct.__getitem__, inverse.tolist())
-            outs[i].write("".join(parts))
+        for chunk in islice(_regret_chunks(trace), share.start, share.stop):  # runs earlier ones
+            finals[i] = write(outs[i], chunk)
         outs[i].flush()
-        finals[i] = cumulative[-1]
 
     count = sum(1 for _ in _chunk_bounds(trace))
     with open(path, "w", newline="") as fh, ExitStack() as temps:
-        for key, value in metadata:
-            fh.write(f"# {key} = {value}\n")
-        fh.write(",".join(META_TRACE_COLUMNS if is_meta else TRACE_COLUMNS) + "\r\n")
-        shares = min(count, _usable_cpus() if trace.horizon * n >= _FORK_ROWS else 1)
+        fh.write(header)
+        shares = min(count, _usable_cpus() if trace.horizon * trace.n_players >= _FORK_ROWS else 1)
         outs = [fh] + [temps.enter_context(tempfile.TemporaryFile(
             "w+", newline="", dir=os.path.dirname(path) or ".")) for _ in range(1, shares)]
-        finals = np.zeros((shares, n))
+        finals = np.zeros((shares, trace.n_players))
         _share_out("export", range(count), shares, write_share, lambda i, _: [finals[i]])
         for tmp in outs[1:]:
             size, sent = os.fstat(tmp.fileno()).st_size, 0
             while sent < size:  # sendfile may copy less than asked
                 sent += os.sendfile(fh.fileno(), tmp.fileno(), sent, size - sent)
     return finals[-1]
+
+
+@dataclass
+class _TraceStream:
+    """``write_trace_csv(trace, path, extra_metadata)`` of a meta run, written while
+    its epochs play (``run_rcb_meta(..., export=)``); ``final`` is its return value."""
+
+    path: str | os.PathLike
+    extra_metadata: Sequence[tuple[str, str]] = ()
+    final: Optional[np.ndarray] = None
+
+    def run(self, trace: SimulationTrace, play) -> None:
+        """Call ``play(send)``, which plays ``trace``'s calls in order, calling ``send(start,
+        end, period)`` after each, and export the trace: as the calls arrive in a worker
+        forked for ``_share_out``'s share 1 from ``_FORK_ROWS`` rows on 2 or more usable
+        CPUs, else by ``write_trace_csv`` after the run."""
+        if trace.horizon * trace.n_players < _FORK_ROWS or _usable_cpus() < 2:
+            play(lambda *call: None)
+            self.final = write_trace_csv(trace, self.path, self.extra_metadata)
+            return
+        header, write = _formatter(trace, self.extra_metadata)
+        rows, self.final = (trace.matchings, trace.rewards), np.zeros(trace.n_players)
+
+        def send(start, end, period):
+            calls_out.writelines([np.array([start, end, period], dtype=np.int64),
+                                  *(a[start - 1:end] for a in rows)])
+            calls_out.flush()
+
+        def work(i, _):
+            (calls_in, calls_out)[i].close()  # each side keeps its own end
+            if i == 0:
+                with suppress(BrokenPipeError), calls_out:  # a dead writer: _share_out says so
+                    play(send)
+                return
+            chunks, call = _regret_chunks(trace), np.zeros(3, dtype=np.int64)
+            while calls_in.readinto(call):
+                start, end, period = call.tolist()
+                trace.schedule.append((start, end, period))
+                for a in rows:
+                    calls_in.readinto(a[start - 1:end])
+                while (chunk := next(chunks))[2] < end:  # the call's chunks, the last ending at end
+                    write(fh, chunk)
+                self.final[:] = write(fh, chunk)
+            fh.flush()
+
+        with open(self.path, "w", newline="") as fh:
+            fh.write(header)
+            fh.flush()  # before the fork, so the worker appends after it
+            read, written = os.pipe()
+            with open(read, "rb") as calls_in, open(written, "wb") as calls_out:
+                _share_out("export", range(2), 2, work, lambda *_: [self.final])

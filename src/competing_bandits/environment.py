@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AssumptionError, InputError, _check_choice, _check_integer
+from .errors import AssumptionError, InputError, _check_choice, _check_integer, _check_real
 from .market import MarketInstance, Matching, RankOrdering, optimal_pessimal
 
 NOISE_FAMILIES = ("gaussian", "uniform", "none")
@@ -40,6 +40,8 @@ class ChangeEvent:
     def __post_init__(self):
         for name in ("time", "player", "arm"):
             _check_integer(f"event {name}", getattr(self, name))
+        new_mean = _check_real("event new_mean", self.new_mean, finite=False)
+        object.__setattr__(self, "new_mean", new_mean)  # so 1 and 1.0 export the same bytes
 
 
 class MeanRewardTimeline:
@@ -59,9 +61,10 @@ class MeanRewardTimeline:
         mu_bar: float = 1.0,
     ):
         _check_integer("horizon", horizon, least=1)
-        if isinstance(mu_bar, (bool, np.bool_)) or not 0 < mu_bar < math.inf:
+        if not 0 < _check_real("mu_bar", mu_bar, finite=False) < math.inf:
             raise InputError(f"must be positive and finite, got {mu_bar}", "mu_bar")
-        means = tuple(tuple(float(v) for v in row) for row in initial_means)
+        means = tuple(tuple(_check_real("initial_means", v, finite=False) for v in row)
+                      for row in initial_means)
         if not means:
             raise InputError("must have at least one player row", "initial_means")
         if any(len(row) != len(means[0]) for row in means):

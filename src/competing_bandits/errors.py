@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the integer and choice
-checks that raise one."""
+"""Exception types shared across the package, and the integer, real-number
+and choice checks that raise one."""
 
+import math
+import numbers
 import operator
 from typing import Optional
 
@@ -46,6 +48,16 @@ def _check_integer(name: str, value, error: type = InputError,
     if most is not None and value > most:
         raise error(f"must be at most {most}, got {value}", name)
     return value
+
+
+def _check_real(name: str, value, error: type = InputError, finite: bool = True) -> float:
+    """``value`` as a Python float if it is a real number, numpy's included and booleans
+    not, and finite unless ``finite`` is False (the caller's range check rejects nan)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"expected a real number, got {value!r}", name)
+    if finite and not math.isfinite(value):
+        raise error(f"must be finite, got {value}", name)
+    return float(value)
 
 
 def _check_choice(name: str, value, choices: tuple, error: type = InputError):

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import SimulationConfig, SimulationTrace, _Run
+from .engine import SimulationConfig, SimulationTrace, _Run, _TraceStream
 from .environment import MeanRewardTimeline, stable_benchmarks
-from .errors import InputError, _check_integer
+from .errors import InputError, _check_integer, _check_real
 from .market import MarketInstance
 
 
@@ -49,7 +49,7 @@ class Exp3State:
             raise InputError("must be a non-empty vector", "weights")
         if not np.all((self.weights > 0) & np.isfinite(self.weights)):
             raise InputError(f"must be positive and finite, got {self.weights.tolist()}", "weights")
-        if isinstance(self.gamma, (bool, np.bool_)) or not (0 < self.gamma <= 1):
+        if not 0 < _check_real("gamma", self.gamma) <= 1:
             raise InputError(f"must be in (0, 1], got {self.gamma}", "gamma")
 
     @classmethod
@@ -100,7 +100,7 @@ def exp3_select(state: Exp3State) -> int:
 
 def exp3_update(state: Exp3State, chosen: int, reward: float) -> None:
     """Importance-weighted exponential update of the chosen arm only."""
-    if isinstance(reward, (bool, np.bool_)) or not (0.0 <= reward <= 1.0):
+    if not 0.0 <= _check_real("reward", reward) <= 1.0:
         raise InputError(f"must be in [0, 1], got {reward}", "reward")
     chosen = _check_integer("chosen", chosen, least=0, most=len(state.weights) - 1)
     p = state.probabilities()[chosen]
@@ -114,6 +114,7 @@ def run_rcb_meta(
     config: SimulationConfig,
     market: MarketInstance,
     timeline: MeanRewardTimeline,
+    *, export: _TraceStream | None = None,
 ) -> SimulationTrace:
     """Run the restart loop with the restart period chosen per epoch by
     EXP3.
@@ -123,7 +124,8 @@ def run_rcb_meta(
     of all sampled rewards in the epoch, normalized by N * epoch_length *
     mu_bar and clipped to [0, 1]. The trace's schedule holds one entry per
     epoch, from which its per-round epoch/period columns derive, and it
-    gains a per-epoch summary list.
+    gains a per-epoch summary list. An ``export``, ``engine._TraceStream(path,
+    extra_metadata)``, also writes the trace CSV, while the epochs play where it can.
     """
     if config.restart_period is not None:
         raise InputError("meta mode tunes it itself; leave it unset", "restart_period")
@@ -139,23 +141,30 @@ def run_rcb_meta(
     exp3 = Exp3State.fresh(len(ensemble.periods), gamma, run.rngs[0])
     norm = market.n_players * ensemble.epoch_length * timeline.mu_bar
 
-    for epoch in range(ensemble.epoch_count):
-        arm = exp3_select(exp3)
-        period = ensemble.periods[arm]
-        start = epoch * ensemble.epoch_length + 1
-        end = min(horizon, (epoch + 1) * ensemble.epoch_length)
-        run.play(start, end, period)
-        # Each round's rewards summed left to right from 0, then the round sums
-        # in order, as sum(sum(r) for r in rows.tolist()) does; np.sum pairs.
-        row_sums = 0.0 + trace.rewards[start - 1:end, 0]
-        for column in trace.rewards[start - 1:end, 1:].T:
-            row_sums += column
-        epoch_reward = float(np.cumsum(row_sums)[-1])
-        reward = min(1.0, max(0.0, epoch_reward / norm))
-        exp3_update(exp3, arm, reward)
-        trace.epoch_summaries.append(
-            EpochSummary(epoch, period, reward, tuple(float(p) for p in exp3.probabilities()))
-        )
+    def play(send):
+        for epoch in range(ensemble.epoch_count):
+            arm = exp3_select(exp3)
+            period = ensemble.periods[arm]
+            start = epoch * ensemble.epoch_length + 1
+            end = min(horizon, (epoch + 1) * ensemble.epoch_length)
+            run.play(start, end, period)
+            send(start, end, period)
+            # Each round's rewards summed left to right from 0, then the round sums
+            # in order, as sum(sum(r) for r in rows.tolist()) does; np.sum pairs.
+            row_sums = 0.0 + trace.rewards[start - 1:end, 0]
+            for column in trace.rewards[start - 1:end, 1:].T:
+                row_sums += column
+            epoch_reward = float(np.cumsum(row_sums)[-1])
+            reward = min(1.0, max(0.0, epoch_reward / norm))
+            exp3_update(exp3, arm, reward)
+            trace.epoch_summaries.append(
+                EpochSummary(epoch, period, reward, tuple(float(p) for p in exp3.probabilities()))
+            )
+
+    if export is None:
+        play(lambda *call: None)
+    else:
+        export.run(trace, play)
     return trace
 
 

@@ -1,6 +1,9 @@
-"""Restart-period ensemble, EXP3 meta-learner, and the epoch loop."""
+"""Restart-period ensemble, EXP3 meta-learner, the epoch loop and the
+trace export that runs while the epochs play."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -21,10 +24,14 @@ from competing_bandits import (
     run_rcb,
     run_rcb_meta,
     write_epoch_summary_csv,
+    write_trace_csv,
 )
+from competing_bandits import cli, engine, meta
 from competing_bandits.config import GeneratorSpec, generate_instance
+from competing_bandits.engine import _TraceStream
 from competing_bandits.environment import NOISE_FAMILIES
 from competing_bandits.meta import default_gamma
+from test_engine import assert_no_child_left
 from trace_oracle import matched_means, schedule_columns
 
 
@@ -282,3 +289,191 @@ def test_epoch_summary_csv_rejects_plain_trace(tmp_path):
     with pytest.raises(InputError, match="not a meta run") as exc:
         write_epoch_summary_csv(trace, tmp_path / "epochs.csv")
     assert exc.value.field == "epoch_summaries"
+
+
+# --- trace export while the epochs play -------------------------------------------
+
+def fork_spy(monkeypatch):
+    """Record every ``os.fork`` call (the forks still happen)."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_streamed_export_equals_write_trace_csv(tmp_path_factory, data):
+    """With an export, ``run_rcb_meta`` writes the trace CSV while its
+    epochs play: on 2 usable CPUs one forked worker appends each epoch's
+    chunks as the epoch's rows arrive, on 1 the run exports after it plays.
+    Either way the file and ``export.final`` equal ``write_trace_csv`` of the
+    run's trace (unsplit) byte for byte, the trace and the epoch CSV equal
+    those of a run without an export, and no other file is left. The stream
+    threshold is 0 and the chunks are drawn short, so they end inside
+    epochs as well as at epoch and segment ends; N <= 4, K in [N, 6], every
+    noise family, 0 to 3 changes."""
+    n = data.draw(st.integers(1, 4), label="N")
+    k = data.draw(st.integers(n, 6), label="K")
+    horizon = data.draw(st.integers(2, 150), label="T")
+    spec = GeneratorSpec(seed=data.draw(st.integers(0, 2**31 - 1), label="instance"),
+                         n_players=n, n_arms=k, delta=0.05,
+                         n_changes=data.draw(st.integers(0, min(3, horizon - 1)), label="L"))
+    market, timeline = generate_instance(spec, horizon)
+    config = SimulationConfig(horizon, seed=data.draw(st.integers(0, 2**32 - 1), label="seed"),
+                              noise=data.draw(st.sampled_from(NOISE_FAMILIES), label="noise"))
+    chunk = data.draw(st.integers(1, 40), label="chunk rounds")
+    cpus = data.draw(st.sampled_from([1, 2]), label="CPUs")
+    out = tmp_path_factory.mktemp("stream")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_EXPORT_CHUNK_ROUNDS", chunk)
+        patch.setattr(engine, "_FORK_ROWS", 0)
+        patch.setattr(engine, "_usable_cpus", lambda: cpus)
+        export = _TraceStream(out / "streamed.csv", [("extra", "x")])
+        trace = run_rcb_meta(config, market, timeline, export=export)
+        patch.setattr(engine, "_usable_cpus", lambda: 1)
+        final = write_trace_csv(trace, out / "whole.csv", [("extra", "x")])
+    assert (out / "streamed.csv").read_bytes() == (out / "whole.csv").read_bytes()
+    assert export.final.tobytes() == final.tobytes()
+    plain = run_rcb_meta(config, market, timeline)
+    assert (trace.matchings.tobytes(), trace.rewards.tobytes(), trace.schedule) == (
+        plain.matchings.tobytes(), plain.rewards.tobytes(), plain.schedule)
+    write_epoch_summary_csv(trace, out / "streamed_epochs.csv")
+    write_epoch_summary_csv(plain, out / "plain_epochs.csv")
+    assert (out / "streamed_epochs.csv").read_bytes() == (out / "plain_epochs.csv").read_bytes()
+    assert sorted(os.listdir(out)) == ["plain_epochs.csv", "streamed.csv", "streamed_epochs.csv",
+                                       "whole.csv"]
+    assert_no_child_left()
+
+
+META_CONFIG = """
+[experiment]
+version = 1
+mode = meta
+horizon = 300
+seeds = 4, 9
+
+[generator]
+seed = 3
+n_players = 3
+n_arms = 4
+delta = 0.1
+changes = 2
+"""
+
+
+def test_cli_meta_run_streams_every_seed(monkeypatch, tmp_path, capsys):
+    """A two-seed ``rcb run --mode meta`` that streams each seed's export
+    (threshold 0, 16-round chunks, 2 usable CPUs) writes the same files and
+    prints the same lines as one that exports after each run (1 CPU)."""
+    path = tmp_path / "meta.ini"
+    path.write_text(META_CONFIG)
+    monkeypatch.setattr(engine, "_FORK_ROWS", 0)
+    monkeypatch.setattr(engine, "_EXPORT_CHUNK_ROUNDS", 16)
+    runs = {}
+    for cpus in (2, 1):
+        monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+        forks = fork_spy(monkeypatch)
+        out = tmp_path / f"cpus{cpus}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.replace(str(out), "OUT")
+        runs[cpus] = printed, {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert len(forks) == (2 if cpus == 2 else 0)  # one worker per streamed seed
+    assert sorted(runs[2][1]) == ["epochs_seed4.csv", "epochs_seed9.csv",
+                                  "trace_meta_seed4.csv", "trace_meta_seed9.csv"]
+    assert runs[2] == runs[1]
+    assert runs[2][0].count("max-player pessimal regret") == 2
+    assert_no_child_left()
+
+
+def stream_setup(monkeypatch, tmp_path, horizon=200):
+    """A meta run of ``horizon`` rounds whose export streams (threshold 0,
+    2 usable CPUs) to ``tmp_path / "trace.csv"``; returns the export and the
+    call that runs it."""
+    monkeypatch.setattr(engine, "_FORK_ROWS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    market, timeline = single_player_setup(horizon)
+    export = _TraceStream(tmp_path / "trace.csv")
+    return export, lambda: run_rcb_meta(SimulationConfig(horizon, seed=1), market, timeline,
+                                        export=export)
+
+
+def faulty_writer(fault):
+    """``engine._formatter`` whose row writer calls ``fault()`` first in a
+    forked worker."""
+    formatter, parent = engine._formatter, os.getpid()
+
+    def wrapped(*args):
+        header, write = formatter(*args)
+
+        def faulty(out, chunk):
+            if os.getpid() != parent:
+                fault()
+            return write(out, chunk)
+        return header, faulty
+    return wrapped
+
+
+def test_failing_stream_worker_is_named_with_its_exit_status(monkeypatch, tmp_path):
+    def fault():
+        raise ValueError("fault in the stream worker")
+
+    monkeypatch.setattr(engine, "_formatter", faulty_writer(fault))
+    _, run = stream_setup(monkeypatch, tmp_path)
+    with pytest.raises(RuntimeError, match=r"export worker \d+ exited with status 1 after "
+                                           r"sending 0 of \d+ bytes"):
+        run()
+    assert_no_child_left()
+
+
+def test_epoch_loop_error_kills_and_reaps_the_stream_worker(monkeypatch, tmp_path):
+    """An error in the epoch loop, here ``exp3_update`` at epoch 3, stops
+    the worker while it is still writing (it would sleep for a minute)."""
+    monkeypatch.setattr(engine, "_formatter", faulty_writer(lambda: time.sleep(60)))
+    updates, update = [], meta.exp3_update
+
+    def exp3_update(*args):
+        updates.append(1)
+        if len(updates) == 4:
+            raise ValueError("fault in the epoch loop")
+        update(*args)
+
+    monkeypatch.setattr(meta, "exp3_update", exp3_update)
+    _, run = stream_setup(monkeypatch, tmp_path)
+    began = time.monotonic()
+    with pytest.raises(ValueError, match="fault in the epoch loop"):
+        run()
+    assert time.monotonic() - began < 30
+    assert_no_child_left()
+
+
+def test_bad_output_fails_before_any_fork(monkeypatch, tmp_path, capsys):
+    """An ``--out`` that cannot be a directory, a trace path that cannot be
+    opened and a multi-line metadata value fail in this process before any
+    worker starts."""
+    forks = fork_spy(monkeypatch)
+    path = tmp_path / "meta.ini"
+    path.write_text(META_CONFIG)
+    monkeypatch.setattr(engine, "_FORK_ROWS", 0)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)
+    (tmp_path / "file").write_text("")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "file")]) == 1
+    assert "--out: cannot make directory" in capsys.readouterr().err
+    export, run = stream_setup(monkeypatch, tmp_path)
+    (tmp_path / "trace.csv").mkdir()  # the trace path is taken by a directory
+    with pytest.raises(IsADirectoryError):
+        run()
+    export.path, export.extra_metadata = tmp_path / "other.csv", [("note", "two\nlines")]
+    with pytest.raises(InputError, match="extra_metadata: must be one line each"):
+        run()
+    assert forks == []
+    assert_no_child_left()
+
+
+def test_one_usable_cpu_forks_nothing(monkeypatch, tmp_path):
+    export, run = stream_setup(monkeypatch, tmp_path)
+    forks = fork_spy(monkeypatch)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 1)
+    trace = run()
+    assert forks == []
+    assert export.final.tobytes() == write_trace_csv(trace, tmp_path / "whole.csv").tobytes()
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()

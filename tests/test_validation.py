@@ -1,8 +1,10 @@
-"""Bounded-integer and named-choice inputs: one rule each, and every entry
-point that takes such an input fails naming it."""
+"""Bounded-integer, real-number and named-choice inputs: one rule each,
+and every entry point that takes such an input fails naming it."""
 
 import argparse
 import functools
+import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from competing_bandits import (
+    ChangeEvent,
     ConfigError,
     Exp3State,
     InputError,
@@ -26,12 +29,13 @@ from competing_bandits import (
     run_rcb,
     run_rcb_seeds,
     sample_reward,
+    write_trace_csv,
 )
 from competing_bandits import cli
 from competing_bandits.config import ExperimentConfig, GeneratorSpec
 from competing_bandits.engine import BASELINES
 from competing_bandits.environment import NOISE_FAMILIES, draw_noise
-from competing_bandits.errors import _check_choice, _check_integer
+from competing_bandits.errors import _check_choice, _check_integer, _check_real
 
 MARKET = MarketInstance(1, 2, ((1.0,), (2.0,)))
 TIMELINE = MeanRewardTimeline(5, ((0.1, 0.2),))
@@ -190,3 +194,76 @@ def test_bounded_inputs_fail_naming_their_field(kind, site, data):
     with pytest.raises(error) as err:
         call(bad)
     assert type(err.value) is error and err.value.field == field, (name, bad, str(err.value))
+
+
+# (site, call, field, error class, good values, finite): ``call(value)`` hands
+# ``value`` to one real-number input, every other input valid. ``finite`` is
+# False where the site's own range check, not the rule, rejects nan and inf.
+REAL_SITES = [
+    ("GeneratorSpec", lambda v: GeneratorSpec(0, 1, 1, v, 0), "delta", ConfigError,
+     [1, np.int64(1), 0.5, np.float32(0.5)], True),
+    ("GeneratorSpec", lambda v: GeneratorSpec(0, 1, 1, 0.1, 0, mu_bar=v), "mu_bar", ConfigError,
+     [1, np.int64(2), 1.5, np.float32(1.5)], True),
+    ("GeneratorSpec", lambda v: GeneratorSpec(0, 1, 1, 0.1, 1, change_fractions=(v,)),
+     "change_fractions", ConfigError, [0, np.int64(1), 0.5, np.float64(0.5)], True),
+    ("MeanRewardTimeline", lambda v: MeanRewardTimeline(5, ((v, 0.5),)), "initial_means",
+     InputError, [0, np.int64(1), 0.25, np.float32(0.25)], False),
+    ("MeanRewardTimeline", lambda v: MeanRewardTimeline(5, ((0.1, 0.2),), mu_bar=v), "mu_bar",
+     InputError, [1, np.int64(3), 0.5, np.float32(0.5)], False),
+    ("ChangeEvent", lambda v: ChangeEvent(3, 0, 0, v), "event new_mean", InputError,
+     [0, np.int64(1), 0.5, np.float32(0.5)], False),
+    ("Exp3State", lambda v: Exp3State(np.ones(2), v, rng()), "gamma", InputError,
+     [1, np.int64(1), 0.5, np.float32(0.5)], True),
+    ("exp3_update", lambda v: exp3_update(exp3(), 0, v), "reward", InputError,
+     [0, np.int64(1), 0.5, np.float32(0.5)], True),
+]
+
+
+@pytest.mark.parametrize("site", [None] + REAL_SITES, ids=[
+    "_check_real"] + [f"{site[0]}-{site[2]}" for site in REAL_SITES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_real_inputs_fail_naming_their_field(site, data):
+    """At the helper (drawn error class and finiteness) and at every entry
+    point in the site table, a bool, a numpy bool, a str, None, a complex
+    and a Decimal raise the site's error class naming its field, and so do
+    nan and inf where the rule checks finiteness; Python and numpy integers
+    and floats pass, the helper returning them as a Python float."""
+    if site is None:
+        error = data.draw(st.sampled_from([InputError, ConfigError]), label="error class")
+        finite = data.draw(st.booleans(), label="finite")
+        site = ("_check_real", lambda v: _check_real("value", v, error, finite), "value", error,
+                [data.draw(st.integers(-5, 5) | st.floats(allow_nan=False, allow_infinity=False)
+                           | st.sampled_from([np.int64(3), np.float32(0.5)]), label="good")],
+                finite)
+    name, call, field, error, goods, finite = site
+    good = data.draw(st.sampled_from(goods), label="good")
+    result = call(good)
+    if name == "_check_real":
+        assert type(result) is float and result == float(good)
+    bad = data.draw(st.one_of(
+        st.booleans(), st.sampled_from([np.bool_(True), np.bool_(False)]), st.text(max_size=4),
+        st.none(), st.sampled_from([1j, Decimal("0.5")]),
+        st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan)]) if finite
+        else st.nothing()), label="bad")
+    with pytest.raises(error) as err:
+        call(bad)
+    assert type(err.value) is error and err.value.field == field, (name, bad, str(err.value))
+
+
+def test_integer_and_float_means_export_the_same_bytes(tmp_path):
+    """An integer event mean is stored as a float, so ``ChangeEvent(3, 0, 1,
+    1)`` and ``ChangeEvent(3, 0, 1, 1.0)`` give the same segments and the
+    same trace bytes (``1.0`` and ``0.0``, not ``1`` and ``0``), and so do
+    integer and float initial means."""
+    market = MarketInstance(1, 2, ((1.0,), (1.0,)))
+    exports = []
+    for low, high in ((0, 1), (0.0, 1.0)):
+        timeline = MeanRewardTimeline(6, ((low, 0.5),), (ChangeEvent(3, 0, 1, high),))
+        assert type(timeline.events[0].new_mean) is float
+        assert all(type(v) is float for _, _, means in timeline.segments() for v in means[0])
+        path = tmp_path / f"{high!r}.csv"
+        write_trace_csv(run_rcb(SimulationConfig(6), market, timeline), path)
+        exports.append(path.read_bytes())
+    assert exports[0] == exports[1]
+    assert b",1.0,1,0.0," in exports[1]  # a round matched to the benchmark arm, mean 1.0
